@@ -9,29 +9,23 @@ and reference growth exponents.
 
 The D pipeline records the row condition honestly rather than assuming it:
 the sup over unit alpha of || sum_j alpha_j s T_j || at the tight scale
-s = (1 + upper)^{-1/2} is probed from below, the headline bound column keeps
-the (1 + upper)^{-k/2} |J| / upper form, and a second column rescales by the
-probed sup so that the adjusted tuple empirically satisfies the constraint.
+s = (1 + upper)^{-1/2} is evaluated at the ascent witness and the uniform
+vector (at k = 3 the witness value is max(1, 6 |p(w)|) by polarization),
+the headline bound column keeps the (1 + upper)^{-k/2} |J| / upper form,
+and a second column rescales by that value so that the adjusted tuple
+satisfies the constraint at both vectors.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .dixon import (
-    build_tuple,
-    check_commuting,
-    check_row_condition,
-    operator_norm,
-    operator_norms,
-    polynomial_operator,
-    pte_coefficient,
-)
+from .dixon import build_tuple, certify, check_row_condition, polynomial_operator
 from .norms import (
     estimate_norm,
     flattening_upper_bound,
@@ -46,11 +40,6 @@ from .util import Exponent, stream
 
 class CertificationError(RuntimeError):
     """A hard certificate (commutation, contraction, exact action) failed."""
-
-
-_COMMUTATOR_TOL = 1e-12
-_OPNORM_TOL = 1e-10
-_ACTION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -241,52 +230,25 @@ class BoundRecord:
     ref_lower_exponent: float
 
     def to_record(self) -> dict:
-        return {
-            "kind": self.kind,
-            "k": self.k,
-            "q": self.q,
-            "n": self.n,
-            "seed": self.seed,
-            "cardinality": self.cardinality,
-            "scale": self.scale,
-            "norm_lower": self.norm_lower,
-            "norm_upper": self.norm_upper,
-            "upper_flattening": self.upper_flattening,
-            "upper_coefficient_sum": self.upper_coefficient_sum,
-            "commutator_max": self.commutator_max,
-            "opnorm_max_dev": self.opnorm_max_dev,
-            "pte_value": self.pte_value,
-            "pte_residual": self.pte_residual,
-            "row_sup": self.row_sup,
-            "row_value": self.row_value,
-            "cond_ok": self.cond_ok,
-            "bound": self.bound,
-            "bound_cond_adjusted": self.bound_cond_adjusted,
-            "bound_estimate": self.bound_estimate,
-            "direct_norm": self.direct_norm,
-            "direct_value": self.direct_value,
-            "ref_upper_exponent": self.ref_upper_exponent,
-            "ref_lower_exponent": self.ref_lower_exponent,
-        }
+        return asdict(self)
 
 
 def _certified_tuple(system, p):
     """Build the tuple and check the exact certificates, or raise."""
     tup = build_tuple(system, p)
-    comm = check_commuting(tup)
-    if comm > _COMMUTATOR_TOL:
-        raise CertificationError(f"commutator norm {comm} exceeds {_COMMUTATOR_TOL}")
-    norms = operator_norms(tup)
-    dev = max(abs(x - 1.0) for x in norms)
-    if dev > _OPNORM_TOL:
-        raise CertificationError(f"operator norm deviates from 1 by {dev}")
-    coeff, residual = pte_coefficient(tup)
-    card = system.cardinality
-    if residual > _ACTION_TOL or abs(coeff - card) > _ACTION_TOL:
+    cert = certify(tup)
+    if not cert.ok:
         raise CertificationError(
-            f"p(T)e = {coeff} g + residual {residual}, expected {card} g exactly"
+            f"certificate failed: commutator entry {cert.commutator}, operator norm "
+            f"deviation {cert.opnorm_max_dev}, p(T)e = {cert.pte_coefficient} g + residual "
+            f"{cert.pte_residual}, expected {system.cardinality} g exactly"
         )
-    return tup, comm, dev, coeff, residual
+    return tup, cert
+
+
+def _direct_norm(p, tup) -> float:
+    """||p(T)|| by a dense SVD, exact for the rank-one p(T) = |J| g e^*."""
+    return float(np.linalg.norm(polynomial_operator(p, tup).toarray(), 2))
 
 
 def _pipeline_inputs(k: int, n: int, seed: int):
@@ -311,9 +273,6 @@ def lower_bound_D(
     *,
     norm_restarts: int = 16,
     norm_max_iter: int = 800,
-    row_trials: int = 60,
-    row_restarts: int = 4,
-    row_iters: int = 60,
     compute_direct: bool = True,
 ) -> BoundRecord:
     """One cell of the D pipeline at q = 2.
@@ -321,8 +280,8 @@ def lower_bound_D(
     The headline column is bound = (1 + U)^{-k/2} |J| / U with U the best
     certified Euclidean upper bound; direct_value replaces |J| by the
     measured ||p(T)||, so direct_value >= bound always.  cond_ok records
-    whether the probed row sup at the tight scale stays below 1; when it
-    does not, bound_cond_adjusted rescales the tuple so it empirically does.
+    whether the row value at the tight scale stays below 1; when it does
+    not, bound_cond_adjusted rescales the tuple by that value.
     """
     system, p = _pipeline_inputs(k, n, seed)
     card = system.cardinality
@@ -337,23 +296,16 @@ def lower_bound_D(
         upper_label="flattening",
     )
     upper = est.upper
-    tup, comm, dev, coeff, residual = _certified_tuple(system, p)
+    tup, cert = _certified_tuple(system, p)
     scale = (1.0 + upper) ** -0.5
-    row = check_row_condition(
-        tup,
-        scale,
-        trials=row_trials,
-        seed=seed,
-        ascent_restarts=row_restarts,
-        ascent_iters=row_iters,
-    )
-    cond_ok = row.value <= 1.0 + 1e-9
+    row = check_row_condition(tup, scale, est.witness)
+    cond_ok = row.satisfied()
     scale_adj = scale if cond_ok else scale / row.value
     bound = scale**k * card / upper
     bound_adj = scale_adj**k * card / upper
     bound_est = scale**k * card / est.lower if est.lower > 0 else math.inf
     if compute_direct:
-        direct_norm = operator_norm(polynomial_operator(p, tup))
+        direct_norm = _direct_norm(p, tup)
     else:
         direct_norm = float(card)
     refs = reference_exponents(k, 2)
@@ -369,10 +321,10 @@ def lower_bound_D(
         norm_upper=upper,
         upper_flattening=flat,
         upper_coefficient_sum=p.coefficient_sum,
-        commutator_max=comm,
-        opnorm_max_dev=dev,
-        pte_value=coeff.real,
-        pte_residual=residual,
+        commutator_max=cert.commutator,
+        opnorm_max_dev=cert.opnorm_max_dev,
+        pte_value=cert.pte_coefficient.real,
+        pte_residual=cert.pte_residual,
         row_sup=row.value / scale,
         row_value=row.value,
         cond_ok=cond_ok,
@@ -412,7 +364,7 @@ def lower_bound_C(
     est = estimate_norm(
         p, q, restarts=norm_restarts, max_iter=norm_max_iter, seed=seed
     )
-    tup, comm, dev, coeff, residual = _certified_tuple(system, p)
+    tup, cert = _certified_tuple(system, p)
     if q.is_inf:
         scale = 1.0
         denom_cert = p.coefficient_sum
@@ -430,7 +382,7 @@ def lower_bound_C(
     bound_cert = scale**k * card / denom_cert if denom_cert > 0 else math.inf
     bound_est = scale**k * card / est.lower if est.lower > 0 else math.inf
     if compute_direct:
-        direct_norm = operator_norm(polynomial_operator(p, tup))
+        direct_norm = _direct_norm(p, tup)
     else:
         direct_norm = float(card)
     refs = reference_exponents(k, q)
@@ -447,10 +399,10 @@ def lower_bound_C(
         norm_upper=denom_cert,
         upper_flattening=flat,
         upper_coefficient_sum=p.coefficient_sum,
-        commutator_max=comm,
-        opnorm_max_dev=dev,
-        pte_value=coeff.real,
-        pte_residual=residual,
+        commutator_max=cert.commutator,
+        opnorm_max_dev=cert.opnorm_max_dev,
+        pte_value=cert.pte_coefficient.real,
+        pte_residual=cert.pte_residual,
         row_sup=0.0,
         row_value=0.0,
         cond_ok=True,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .norms import estimate_norm
 from .polynomials import HomogeneousPolynomial
 from .steiner import PartialSteinerSystem, validate
 from .util import stream
@@ -202,19 +203,34 @@ def operator_norm(a, tol: float = 1e-12, max_iter: int = 5000) -> float:
 
 
 def check_commuting(tup: DixonTuple) -> float:
-    """Maximal operator norm of T_a T_b - T_b T_a over all pairs a < b."""
+    """Largest entry modulus of T_a T_b - T_b T_a over all pairs a < b.
+
+    The operators have entries in {0, +1, -1}, so every commutator entry is
+    an exact integer: the tuple commutes iff each difference is structurally
+    zero, and a failing pair reports a modulus >= 1, which is also a lower
+    bound on the commutator's operator norm.
+    """
     worst = 0.0
     for a, b in itertools.combinations(tup.ops, 2):
         d = (a @ b - b @ a).tocsr()
         d.eliminate_zeros()
         if d.nnz == 0:
             continue
-        worst = max(worst, operator_norm(d))
+        worst = max(worst, float(np.abs(d.data).max()))
     return worst
 
 
+def _row_norms_squared(t) -> np.ndarray:
+    """Diagonal of T T^*, which is T T^* itself when no column has two nonzeros."""
+    t = t.tocsc()
+    if np.diff(t.indptr).max(initial=0) > 1:
+        raise ValueError("operator has a column with two nonzero entries")
+    return np.asarray(abs(t).power(2).sum(axis=1)).ravel()
+
+
 def operator_norms(tup: DixonTuple) -> list:
-    return [operator_norm(t) for t in tup.ops]
+    """Exact ||T_l||: T_l T_l^* is diagonal, so the norm is the largest row 2-norm."""
+    return [math.sqrt(_row_norms_squared(t).max(initial=0.0)) for t in tup.ops]
 
 
 def apply_polynomial(p: HomogeneousPolynomial, tup: DixonTuple, v: np.ndarray) -> np.ndarray:
@@ -253,111 +269,92 @@ def pte_coefficient(tup: DixonTuple):
     return coeff, float(np.linalg.norm(w))
 
 
+# One home for the certificate tolerances: commutator entries, the
+# deviation of each ||T_l|| from 1, and the coefficient and residual of p(T)e.
+COMMUTATOR_TOL = 1e-12
+OPNORM_TOL = 1e-10
+ACTION_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """The exact certificates of a tuple, judged against the tolerances above."""
+
+    commutator: float
+    op_norms: list
+    opnorm_max_dev: float
+    pte_coefficient: complex
+    pte_residual: float
+    ok: bool
+
+
+def certify(tup: DixonTuple) -> Certificate:
+    """Check commutation, unit operator norms and p(T) e = |J| g."""
+    comm = check_commuting(tup)
+    norms = operator_norms(tup)
+    dev = max(abs(x - 1.0) for x in norms)
+    coeff, residual = pte_coefficient(tup)
+    ok = (
+        comm <= COMMUTATOR_TOL
+        and dev <= OPNORM_TOL
+        and residual <= ACTION_TOL
+        and abs(coeff - tup.system.cardinality) <= ACTION_TOL
+    )
+    return Certificate(comm, norms, dev, coeff, residual, ok)
+
+
 @dataclass(frozen=True)
 class RowConditionResult:
-    """Estimated sup over unit alpha of || sum_j alpha_j s T_j ||.
+    """|| sum_j alpha_j s T_j || at the better of two unit alpha.
 
-    value is a maximum over random trials plus adversarial ascent, so it is
-    a certified lower estimate of the true supremum; block_row_norm is the
-    norm of the stacked row [T_1 ... T_n] times s, which only upper-bounds
-    the supremum by sqrt(n) times and is reported for reference.
+    value is a lower value of the sup over unit alpha: at k = 3 the witness
+    candidate gives at least max(1, 6 |p(w)|), which is the sup when w
+    attains ||p||_{B_2}; at k >= 4 the uniform candidate gives at least
+    sqrt(2 - 1/n) from the t_1 -> t_2 block.  block_row_norm is the exact
+    norm of the stacked row [T_1 ... T_n] times s, which upper-bounds the
+    sup and is reported for reference.
     """
 
     value: float
     scale: float
     alpha: np.ndarray
     block_row_norm: float
-    trials: int
 
     def satisfied(self, tol: float = 1e-9) -> bool:
         return self.value <= 1.0 + tol
 
 
-def _tuple_combination(ops, alpha):
-    acc = alpha[0] * ops[0]
-    for j in range(1, len(ops)):
-        acc = acc + alpha[j] * ops[j]
-    return acc
+def _combination_norm(tup: DixonTuple, alpha) -> float:
+    """|| sum_j alpha_j T_j || as the largest norm of its layer-to-layer blocks.
+
+    The combination maps each layer (e, the t-tuples of each size, f, g)
+    into the next and the layers are mutually orthogonal, so its norm is
+    the largest block norm; each block is small enough for a dense SVD.
+    """
+    n, k = tup.n, tup.k
+    a = sum(x * t for x, t in zip(alpha, tup.ops)).toarray()
+    sizes = [1] + [math.comb(n + m - 1, m) for m in range(1, k - 1)] + [n, 1]
+    edges = np.cumsum([0] + sizes)
+    return max(
+        float(np.linalg.norm(a[edges[m + 1] : edges[m + 2], edges[m] : edges[m + 1]], 2))
+        for m in range(len(sizes) - 1)
+    )
 
 
-def check_row_condition(
-    tup: DixonTuple,
-    scale: float,
-    *,
-    trials: int = 200,
-    seed: int = 0,
-    ascent_restarts: int = 6,
-    ascent_iters: int = 120,
-) -> RowConditionResult:
-    """Probe sup_{||alpha||_2 = 1} || sum_j alpha_j (s T_j) || from below.
+def check_row_condition(tup: DixonTuple, scale: float, witness) -> RowConditionResult:
+    """|| sum_j alpha_j (s T_j) || at alpha = w / ||w|| and at the uniform vector.
 
-    Structured candidates (coordinate and uniform alpha), random unit
-    vectors, and multistart gradient ascent on the top singular value are
-    combined; the reported value is the best found, times the scale s.
-    scale = 0 short-circuits to 0.
+    w is a q = 2 ascent witness of the tuple's polynomial; the larger of the
+    two values is reported, times the scale s.
     """
     n = tup.n
-    ops = tup.ops
-    gram = _tuple_combination([t @ t.conjugate().transpose() for t in ops], np.ones(n))
-    block_row = math.sqrt(operator_norm(gram)) * scale
-    if scale == 0.0:
-        return RowConditionResult(0.0, 0.0, np.zeros(n, dtype=np.complex128), block_row, 0)
-
-    rng = stream(seed, "row-condition", n, tup.k)
-    candidates = [np.ones(n, dtype=np.complex128) / math.sqrt(n)]
-    eye = np.eye(n, dtype=np.complex128)
-    candidates.extend(eye[j] for j in range(n))
-    for _ in range(trials):
-        alpha = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        candidates.append(alpha / np.linalg.norm(alpha))
-
-    best_value = -1.0
-    best_alpha = candidates[0]
-    scored = []
-    for alpha in candidates:
-        sigma = power_iteration(_tuple_combination(ops, alpha), tol=1e-10, max_iter=2000).value
-        scored.append((sigma, alpha))
-        if sigma > best_value:
-            best_value, best_alpha = sigma, alpha
-
-    scored.sort(key=lambda t: -t[0])
-    starts = [alpha for _, alpha in scored[:ascent_restarts]]
-    for alpha0 in starts:
-        alpha = alpha0.copy()
-        a = _tuple_combination(ops, alpha)
-        sigma = power_iteration(a, tol=1e-10, max_iter=2000).value
-        eta = 0.5
-        for _ in range(ascent_iters):
-            res = power_iteration(a, tol=1e-10, max_iter=2000)
-            v = res.vector
-            av = a @ v
-            sig = np.linalg.norm(av)
-            if sig == 0.0:
-                break
-            u = av / sig
-            grad = np.array([np.vdot(u, t @ v) for t in ops])
-            step_ok = False
-            for _ in range(30):
-                cand = alpha + eta * np.conj(grad)
-                cand /= np.linalg.norm(cand)
-                a_cand = _tuple_combination(ops, cand)
-                sig_cand = power_iteration(a_cand, tol=1e-10, max_iter=2000).value
-                if sig_cand > sigma:
-                    alpha, a, sigma = cand, a_cand, sig_cand
-                    eta = min(eta * 1.5, 10.0)
-                    step_ok = True
-                    break
-                eta *= 0.5
-                if eta < 1e-12:
-                    break
-            if not step_ok:
-                break
-        if sigma > best_value:
-            best_value, best_alpha = sigma, alpha
-
-    return RowConditionResult(
-        best_value * scale, scale, best_alpha, block_row, len(candidates)
+    gram = sum(_row_norms_squared(t) for t in tup.ops)
+    block_row = math.sqrt(gram.max()) * scale
+    candidates = [witness / np.linalg.norm(witness), np.full(n, n**-0.5)]
+    value, alpha = max(
+        ((_combination_norm(tup, alpha), alpha) for alpha in candidates), key=lambda c: c[0]
     )
+    return RowConditionResult(value * scale, scale, alpha, block_row)
 
 
 def corrupt_tuple(tup: DixonTuple, seed: int = 0) -> DixonTuple:
@@ -383,26 +380,23 @@ def corrupt_tuple(tup: DixonTuple, seed: int = 0) -> DixonTuple:
     raise ValueError("tuple has no f-layer entries to corrupt")
 
 
-def verify_report(
-    tup: DixonTuple,
-    *,
-    scale: float | None = None,
-    row_trials: int = 100,
-    seed: int = 0,
-) -> dict:
+def verify_report(tup: DixonTuple, *, scale: float | None = None, seed: int = 0) -> dict:
     """Full certification report for a tuple, as emitted by the CLI."""
     if scale is None:
         scale = (1.0 + tup.polynomial.coefficient_sum) ** -0.5
-    coeff, residual = pte_coefficient(tup)
-    row = check_row_condition(tup, scale, trials=row_trials, seed=seed)
+    cert = certify(tup)
+    witness = estimate_norm(tup.polynomial, 2, seed=seed).witness
+    row = check_row_condition(tup, scale, witness)
     return {
         "dimension": tup.basis.dimension,
         "cardinality": tup.system.cardinality,
-        "max_commutator": check_commuting(tup),
-        "op_norms": operator_norms(tup),
-        "pTe_coefficient": {"re": coeff.real, "im": coeff.imag},
-        "pTe_residual": residual,
+        "max_commutator": cert.commutator,
+        "op_norms": cert.op_norms,
+        "opnorm_max_dev": cert.opnorm_max_dev,
+        "pTe_coefficient": {"re": cert.pte_coefficient.real, "im": cert.pte_coefficient.imag},
+        "pTe_residual": cert.pte_residual,
         "row_scale": scale,
         "row_condition_value": row.value,
         "block_row_norm": row.block_row_norm,
+        "certified": cert.ok,
     }

@@ -163,10 +163,11 @@ def polarize_evaluate(p: HomogeneousPolynomial, vectors) -> complex:
 
 
 def l1_ball_upper_bound(p: HomogeneousPolynomial) -> float:
-    """sup of |p| over the unit l1 ball: max_J |c_J| * mult(J)! / k!.
+    """Upper bound on sup of |p| over the unit l1 ball: max_J |c_J| * mult(J)! / k!.
 
     mult(J)! is the product of factorials of the exponent multiplicities;
-    for squarefree unimodular monomials the bound is 1/k!.
+    for squarefree unimodular monomials the bound is 1/k!.  It is not the
+    sup: for z1 z2 z3 the sup is 1/27 and the bound is 1/6.
     """
     if not p.coeffs:
         return 0.0

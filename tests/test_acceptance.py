@@ -142,7 +142,7 @@ def test_criterion_04_operator_tuple_identities():
             sys_, rng=np.random.default_rng(ROOT_SEED + idx)
         )
         tup = build_tuple(sys_, p)
-        rep = verify_report(tup, row_trials=120, seed=idx)
+        rep = verify_report(tup, seed=idx)
         assert rep["max_commutator"] <= 1e-12, idx
         assert all(abs(v - 1.0) <= 1e-10 for v in rep["op_norms"]), idx
         assert rep["pTe_coefficient"] == {

@@ -10,6 +10,7 @@ from vnlab.bounds import (
     AkqReference,
     BoundRecord,
     CertificationError,
+    _cell_seed,
     a_kq_reference,
     fit_power_law,
     lower_bound_C,
@@ -150,6 +151,14 @@ def test_lower_bound_D_record_is_internally_consistent():
         assert rec.bound_cond_adjusted == pytest.approx(want, rel=1e-9)
     assert rec.ref_upper_exponent == 2.0
     assert rec.ref_lower_exponent == 2.0
+
+
+def test_lower_bound_D_direct_norm_is_exact():
+    # p(T) = |J| g e^* has norm exactly |J|, so direct_value and bound are
+    # the same expression and compare with no tolerance (criterion-07 cell)
+    rec = lower_bound_D(3, 8, _cell_seed(20260826, 8, 0))
+    assert rec.direct_norm == rec.cardinality
+    assert rec.direct_value >= rec.bound
 
 
 def test_lower_bound_D_deterministic():

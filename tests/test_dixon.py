@@ -1,4 +1,4 @@
-"""Layered operator tuples: structure, contractivity, commutation, row probe."""
+"""Layered operator tuples: structure, contractivity, commutation, row condition."""
 
 import math
 
@@ -10,6 +10,7 @@ from vnlab.dixon import (
     DixonTuple,
     build_basis,
     build_tuple,
+    certify,
     check_commuting,
     check_row_condition,
     corrupt_tuple,
@@ -143,6 +144,26 @@ def test_corrupt_tuple_fails_commutation():
     assert check_commuting(bad) > 1e-6
 
 
+@pytest.mark.parametrize("n,k,seed", [(7, 3, 6), (10, 3, 5), (8, 4, 2)])
+def test_corrupt_commutator_entry_is_at_least_one(n, k, seed):
+    # commutator entries are integers, so a failing pair reports >= 1
+    tup = make_tuple(n, k, seed)
+    bad = corrupt_tuple(tup, seed=1)
+    assert check_commuting(bad) >= 1.0
+    assert certify(tup).ok
+    assert not certify(bad).ok
+
+
+@pytest.mark.parametrize("n,k,seed", [(9, 3, 1), (8, 4, 2), (9, 5, 3)])
+def test_operator_norms_match_dense_svd(n, k, seed):
+    tup = make_tuple(n, k, seed)
+    got = operator_norms(tup)
+    want = [np.linalg.norm(t.toarray(), 2) for t in tup.ops]
+    assert got == pytest.approx(want, rel=1e-12)
+    assert got == [1.0] * n
+    assert certify(tup).opnorm_max_dev == 0.0
+
+
 def test_build_rejects_bad_inputs():
     sys_ = fano_system()
     p = random_steiner_polynomial(sys_, rng=np.random.default_rng(0))
@@ -221,7 +242,7 @@ def test_power_iteration_reports_nonconvergence():
 
 def test_row_condition_zero_scale():
     tup = make_tuple(7, 3, 0)
-    row = check_row_condition(tup, 0.0, trials=5, seed=0)
+    row = check_row_condition(tup, 0.0, np.ones(7))
     assert row.value == 0.0
 
 
@@ -231,7 +252,7 @@ def test_row_condition_single_block_exact():
     sys_ = PartialSteinerSystem(n=3, k=3, t=2, blocks=((1, 2, 3),))
     p = HomogeneousPolynomial(n=3, k=3, coeffs={(1, 2, 3): 1.0})
     tup = build_tuple(sys_, p)
-    row = check_row_condition(tup, 1.0, trials=100, seed=1)
+    row = check_row_condition(tup, 1.0, estimate_norm(p, 2, seed=1).witness)
     assert row.value == pytest.approx(2 / math.sqrt(3), abs=1e-6)
     assert np.linalg.norm(row.alpha) == pytest.approx(1.0, abs=1e-9)
 
@@ -242,16 +263,14 @@ def test_row_condition_matches_polynomial_norm_theory():
     # symmetric coefficient tensor and complex Hilbert polarization is exact
     tup = make_tuple(7, 3, 1007)
     est = estimate_norm(tup.polynomial, 2, restarts=24, seed=5)
-    row = check_row_condition(
-        tup, 1.0, trials=300, seed=5, ascent_restarts=10, ascent_iters=200
-    )
+    row = check_row_condition(tup, 1.0, est.witness)
     assert row.value == pytest.approx(max(1.0, 6 * est.lower), rel=1e-6)
 
 
 def test_row_condition_scales_linearly():
     tup = make_tuple(7, 3, 2)
-    a = check_row_condition(tup, 1.0, trials=40, seed=2)
-    b = check_row_condition(tup, 0.25, trials=40, seed=2)
+    a = check_row_condition(tup, 1.0, np.ones(7))
+    b = check_row_condition(tup, 0.25, np.ones(7))
     assert b.value == pytest.approx(0.25 * a.value, rel=1e-9)
     assert b.satisfied()
     assert not a.satisfied()  # value > 1 unscaled on this instance
@@ -260,11 +279,39 @@ def test_row_condition_scales_linearly():
 def test_block_row_norm_is_stacked_row():
     # ||[T_1 ... T_n]|| = sqrt of the largest eigenvalue of sum T_j T_j^*
     tup = make_tuple(7, 3, 3)
-    row = check_row_condition(tup, 1.0, trials=10, seed=0)
+    row = check_row_condition(tup, 1.0, np.ones(7))
     acc = sum((t @ t.conj().T).toarray() for t in tup.ops)
     want = math.sqrt(np.linalg.eigvalsh(acc).max())
     assert row.block_row_norm == pytest.approx(want, rel=1e-9)
     assert row.value <= row.block_row_norm + 1e-9  # stacked row dominates
+
+
+def _dense_combination_norm(tup, alpha):
+    return np.linalg.norm(sum(a * t.toarray() for a, t in zip(alpha, tup.ops)), 2)
+
+
+@pytest.mark.parametrize("n,seed", [(7, 0), (9, 1), (13, 2)])
+def test_row_value_is_dense_norm_at_k3(n, seed):
+    # the value is the norm at the returned alpha, and at k=3 the witness
+    # candidate gives at least max(1, 6 |p(w)|): w^T M(w) w = 6 p(w) for the
+    # middle-layer block M(alpha)
+    tup = make_tuple(n, 3, seed)
+    w = estimate_norm(tup.polynomial, 2, restarts=8, seed=seed).witness
+    row = check_row_condition(tup, 1.0, w)
+    assert np.linalg.norm(row.alpha) == pytest.approx(1.0, rel=1e-12)
+    assert row.value == pytest.approx(_dense_combination_norm(tup, row.alpha), rel=1e-12)
+    floor = max(1.0, 6 * abs(tup.polynomial.evaluate(w / np.linalg.norm(w))))
+    assert row.value >= floor * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("n,seed", [(6, 0), (8, 2), (10, 3)])
+def test_row_value_at_k4_reaches_uniform_block(n, seed):
+    # at uniform alpha the t_1 -> t_2 block B has B^*B = (1 - 1/n) I + 11^T / n
+    tup = make_tuple(n, 4, seed)
+    w = estimate_norm(tup.polynomial, 2, restarts=8, seed=seed).witness
+    row = check_row_condition(tup, 1.0, w)
+    assert row.value == pytest.approx(_dense_combination_norm(tup, row.alpha), rel=1e-12)
+    assert row.value >= math.sqrt(2 - 1 / n) * (1 - 1e-12)
 
 
 # -------------------------------------------------------------------- reports
@@ -272,7 +319,7 @@ def test_block_row_norm_is_stacked_row():
 
 def test_verify_report_contents():
     tup = make_tuple(7, 3, 4)
-    rep = verify_report(tup, row_trials=60, seed=0)
+    rep = verify_report(tup, seed=0)
     assert rep["dimension"] == 16
     assert rep["cardinality"] == 7
     assert rep["max_commutator"] == 0.0
