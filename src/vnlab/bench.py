@@ -1,4 +1,4 @@
-"""Benchmark the compiled kernels against the NumPy fallback."""
+"""Per-call timings of the evaluation kernels."""
 
 from __future__ import annotations
 
@@ -21,32 +21,21 @@ def _time_call(fn, *args, repeats: int = 5, inner: int = 10) -> float:
 
 
 def run_bench(nvar: int = 25, terms: int = 90, batch: int = 32, k: int = 3, repeats: int = 5):
-    """Per-backend timings of the evaluation kernels on a synthetic workload."""
+    """Timings of the evaluation kernels on a synthetic workload, one record."""
     rng = np.random.default_rng(0)
     coef = rng.standard_normal(terms) + 1j * rng.standard_normal(terms)
     idx = rng.integers(0, nvar, size=(terms, k)).astype(np.int64)
     points = rng.standard_normal((batch, nvar)) + 1j * rng.standard_normal((batch, nvar))
-    backends = kernels.available_backends()
-    baseline = None
-    records = []
-    for name in ("python", "cython"):
-        if name not in backends:
-            continue
-        mod = backends[name]
-        t_eval = _time_call(mod.poly_eval_batch, coef, idx, points, repeats=repeats)
-        t_grad = _time_call(mod.poly_eval_grad_batch, coef, idx, points, repeats=repeats)
-        if name == "python":
-            baseline = t_grad
-        records.append(
-            {
-                "backend": name,
-                "nvar": nvar,
-                "terms": terms,
-                "batch": batch,
-                "k": k,
-                "eval_us": t_eval,
-                "eval_grad_us": t_grad,
-                "grad_speedup_vs_python": (baseline / t_grad) if baseline else 1.0,
-            }
-        )
-    return records
+    return [
+        {
+            "backend": kernels.backend_name(),
+            "nvar": nvar,
+            "terms": terms,
+            "batch": batch,
+            "k": k,
+            "eval_us": _time_call(kernels.poly_eval_batch, coef, idx, points, repeats=repeats),
+            "eval_grad_us": _time_call(
+                kernels.poly_eval_grad_batch, coef, idx, points, repeats=repeats
+            ),
+        }
+    ]

@@ -469,8 +469,9 @@ def scaling_sweep(
     The fitted column defaults to the certified-denominator bound for D and
     to the estimate-denominator bound for C (no nontrivial certified upper
     exists at q = inf, so the certified column is flat by construction
-    there).  Cells whose hard certificates fail are excluded and reported
-    in warnings; the per-n median uses the surviving cells.
+    there).  A cell that raises, for instance because a hard certificate
+    fails, is excluded and reported in warnings with its exception type;
+    the per-n median uses the surviving cells.
     """
     kind = kind.upper()
     if kind not in ("C", "D"):
@@ -485,6 +486,8 @@ def scaling_sweep(
     n_values = [int(n) for n in n_values]
     if seeds_per_n < 1:
         raise ValueError("seeds_per_n must be >= 1")
+    if k < 3 or any(n < k for n in n_values):
+        raise ValueError(f"need n >= k >= 3 on the whole grid, got k={k} n={n_values}")
 
     def run_cell(args):
         n, idx = args
@@ -538,10 +541,12 @@ def scaling_sweep(
 
 
 def _guarded(fn):
+    """Run one cell; a cell that raises becomes its warning text."""
+
     def wrapped(arg):
         try:
             return fn(arg)
-        except CertificationError as exc:
-            return str(exc)
+        except Exception as exc:
+            return f"{type(exc).__name__}: {exc}"
 
     return wrapped

@@ -435,6 +435,8 @@ def _build_parser():
     chk.add_argument("--pairs", type=int)
     chk.add_argument("--mc-pairs", type=int, dest="mc_pairs")
     chk.add_argument("--mc-draws", type=int, dest="mc_draws")
+    chk.add_argument("--mc-checks", type=int, dest="mc_checks")
+    chk.add_argument("--mc-check-draws", type=int, dest="mc_check_draws")
 
     grp = top.add_parser("bounds", help="lower-bound pipelines")
     sub = grp.add_subparsers(dest="action", required=True)
@@ -451,7 +453,7 @@ def _build_parser():
     swp.add_argument("--norm-max-iter", type=int, dest="norm_max_iter")
     swp.add_argument("--fit-column", type=str, dest="fit_column")
 
-    ben = top.add_parser("bench", parents=[common], help="kernel backend benchmark")
+    ben = top.add_parser("bench", parents=[common], help="kernel timings")
     ben.add_argument("--nvar", type=int)
     ben.add_argument("--terms", type=int)
     ben.add_argument("--batch", type=int)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import itertools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,56 +149,6 @@ def build_tuple(system: PartialSteinerSystem, p: HomogeneousPolynomial) -> Dixon
             sp.coo_matrix((data, (rows, cols)), shape=(dim, dim), dtype=np.complex128).tocsc()
         )
     return DixonTuple(system, p, basis, tuple(ops))
-
-
-@dataclass(frozen=True)
-class PowerIterationResult:
-    value: float
-    converged: bool
-    iterations: int
-    vector: np.ndarray
-
-
-def power_iteration(a, tol: float = 1e-12, max_iter: int = 5000) -> PowerIterationResult:
-    """Largest singular value of a (sparse or dense) via power iteration on A*A.
-
-    Deterministic ramp start vector; stops when successive estimates agree
-    to relative tolerance.  A zero matrix (or a start vector annihilated to
-    exactly zero) reports 0 immediately.  The returned vector is the last
-    right singular iterate.
-    """
-    dim = a.shape[1]
-    v = np.ones(dim, dtype=np.complex128) + 1e-3 * np.arange(dim)
-    v /= np.linalg.norm(v)
-    ah = a.conjugate().transpose() if sp.issparse(a) else np.asarray(a).conj().T
-    sigma_old = -1.0
-    sigma = 0.0
-    for it in range(1, max_iter + 1):
-        w = a @ v
-        sigma = float(np.linalg.norm(w))
-        if sigma == 0.0:
-            return PowerIterationResult(0.0, True, it, v)
-        u = ah @ w
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
-            return PowerIterationResult(sigma, True, it, v)
-        v = u / nu
-        if abs(sigma - sigma_old) <= tol * max(sigma, 1e-300):
-            return PowerIterationResult(sigma, True, it, v)
-        sigma_old = sigma
-    return PowerIterationResult(sigma, False, max_iter, v)
-
-
-def operator_norm(a, tol: float = 1e-12, max_iter: int = 5000) -> float:
-    res = power_iteration(a, tol=tol, max_iter=max_iter)
-    if not res.converged:
-        warnings.warn(
-            f"power iteration did not converge in {max_iter} iterations; "
-            f"last estimate {res.value}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return res.value
 
 
 def check_commuting(tup: DixonTuple) -> float:

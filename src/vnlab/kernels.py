@@ -1,53 +1,81 @@
-"""Kernel backend selection.
+"""Batched evaluation kernels: values and holomorphic gradients of a sparse
+homogeneous polynomial at many points at once, in NumPy.
 
-The hot loops (batched polynomial evaluation and gradients) exist twice:
-a compiled Cython extension and a NumPy fallback with identical semantics.
-The compiled backend is preferred when importable; set VNLAB_KERNELS to
-"python" or "cython" to force a choice (forcing an unavailable backend is
-an error so benchmarks cannot silently compare a backend against itself).
+A polynomial is passed as coef (m,) complex128 and idx (m, k) int64, the
+zero-based variable indices of each monomial; points is (B, n).
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _kernels_py
-
-_FORCE = os.environ.get("VNLAB_KERNELS", "").strip().lower()
-
-_impl = None
-_backend = "python"
-if _FORCE in ("python", "py"):
-    _impl = _kernels_py
-elif _FORCE in ("cython", "cy"):
-    from . import _kernels_cy as _impl  # noqa: F401  (ImportError is the contract)
-
-    _backend = "cython"
-elif _FORCE:
-    raise ValueError(f"unknown VNLAB_KERNELS value: {_FORCE!r}")
-else:
-    try:
-        from . import _kernels_cy as _impl
-
-        _backend = "cython"
-    except ImportError:
-        _impl = _kernels_py
-
-poly_eval_batch = _impl.poly_eval_batch
-poly_eval_grad_batch = _impl.poly_eval_grad_batch
+import numpy as np
 
 
 def backend_name() -> str:
-    return _backend
+    """Name of the kernel implementation, recorded by benchmarks."""
+    return "python"
 
 
-def available_backends() -> dict:
-    """Map backend name -> module, for benchmarking both side by side."""
-    out = {"python": _kernels_py}
-    try:
-        from . import _kernels_cy
+def poly_eval_batch(coef: np.ndarray, idx: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Evaluate sum_t coef[t] * prod_u z[idx[t, u]] at each row of points.
 
-        out["cython"] = _kernels_cy
-    except ImportError:
-        pass
-    return out
+    coef: (m,) complex128, idx: (m, k) int64 zero-based, points: (B, n).
+    Returns (B,) complex128.
+    """
+    points = np.ascontiguousarray(points, dtype=np.complex128)
+    if coef.shape[0] == 0:
+        return np.zeros(points.shape[0], dtype=np.complex128)
+    prods = points[:, idx].prod(axis=2)
+    return prods @ coef
+
+
+def _product(*factors, out=None):
+    """Left-to-right product of the factors that are not None (None stands
+    for the empty product 1); the last multiplication writes into out."""
+    factors = [f for f in factors if f is not None]
+    if len(factors) == 1:
+        if out is None:
+            return factors[0]
+        out[...] = factors[0]
+        return out
+    acc = factors[0]
+    for f in factors[1:-1]:
+        acc = acc * f
+    return np.multiply(acc, factors[-1], out=out)
+
+
+def poly_eval_grad_batch(coef: np.ndarray, idx: np.ndarray, points: np.ndarray):
+    """Values and holomorphic gradients of the polynomial at each point.
+
+    Returns (values (B,), gradients (B, n)).  The partial derivative in z_j
+    sums, over every monomial position u with idx[t, u] == j, the product of
+    the other k - 1 factors, assembled from exclusive prefix and suffix
+    products.  Contributions are added in (b, t, u) order.
+    """
+    points = np.ascontiguousarray(points, dtype=np.complex128)
+    nb, n = points.shape
+    m, k = idx.shape
+    if m == 0:
+        return np.zeros(nb, dtype=np.complex128), np.zeros((nb, n), dtype=np.complex128)
+    factors = [points[:, idx[:, u]] for u in range(k)]
+    # prefix[u] = f_0 ... f_{u-1} and suffix[u] = f_{k-1} ... f_{u+1}, each
+    # multiplied left to right
+    prefix = [None] * k
+    suffix = [None] * k
+    for u in range(1, k):
+        prefix[u] = _product(prefix[u - 1], factors[u - 1])
+        suffix[k - 1 - u] = _product(suffix[k - u], factors[k - u])
+    values = _product(prefix[-1], factors[-1]) @ coef
+    # coef as a row, not a vector: a (1, 1) product of a 1-D and a 2-D operand
+    # takes NumPy's scalar path, which rounds differently from the array loop
+    row = coef[None, :]
+    contrib = np.empty((nb, m, k), dtype=np.complex128)
+    for u in range(k):
+        _product(row, prefix[u], suffix[u], out=contrib[:, :, u])
+    # bincount accumulates in input order, so each gradient entry sums its
+    # contributions in (t, u) order
+    flat = (np.arange(0, nb * n, n)[:, None] + idx.reshape(1, -1)).ravel()
+    contrib = contrib.ravel()
+    grads = np.empty(nb * n, dtype=np.complex128)
+    grads.real = np.bincount(flat, weights=contrib.real, minlength=nb * n)
+    grads.imag = np.bincount(flat, weights=contrib.imag, minlength=nb * n)
+    return values, grads.reshape(nb, n)

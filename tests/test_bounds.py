@@ -245,6 +245,32 @@ def test_sweep_validates_inputs():
         scaling_sweep("D", 3, 2, [7, 9], 1, fit_column="no_such_column")
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_turns_a_crashing_cell_into_a_warning(monkeypatch, threads):
+    import vnlab.bounds as bounds_mod
+
+    real = bounds_mod.lower_bound_C
+    calls = []
+
+    def flaky(k, q, n, seed, **kw):
+        calls.append(n)
+        if n == 9:
+            raise RuntimeError("injected failure")
+        return real(k, q, n, seed, **kw)
+
+    monkeypatch.setattr(bounds_mod, "lower_bound_C", flaky)
+    res = scaling_sweep("C", 3, "inf", [7, 9, 11], 1, seed=3, threads=threads)
+    assert [r.n for r in res.records] == [7, 11]
+    assert [n for n, _ in res.medians] == [7, 11]
+    assert res.warnings[0] == "cell n=9 index=0 excluded: RuntimeError: injected failure"
+    assert "no surviving cells at n=9" in res.warnings
+    # a grid point below k is a configuration error, raised before any cell runs
+    calls.clear()
+    with pytest.raises(ValueError):
+        scaling_sweep("C", 3, "inf", [7, 2], 1, threads=threads)
+    assert calls == []
+
+
 def test_sweep_median_uses_per_n_cells():
     res = scaling_sweep("C", 3, "inf", [7], 3, seed=9)
     vals = sorted(r.bound_estimate for r in res.records)

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from vnlab.dixon import (
     DixonTuple,
@@ -15,9 +14,7 @@ from vnlab.dixon import (
     check_row_condition,
     corrupt_tuple,
     dixon_dimension,
-    operator_norm,
     operator_norms,
-    power_iteration,
     polynomial_operator,
     pte_coefficient,
     verify_report,
@@ -118,9 +115,7 @@ def test_polynomial_operator_is_rank_one():
     want = np.zeros_like(m)
     want[g, e] = tup.system.cardinality
     np.testing.assert_array_equal(m, want)
-    assert operator_norm(sp.csc_matrix(m)) == pytest.approx(
-        tup.system.cardinality, rel=1e-12
-    )
+    assert np.linalg.norm(m, 2) == pytest.approx(tup.system.cardinality, rel=1e-12)
 
 
 # -------------------------------------------------------------- contractivity
@@ -202,39 +197,6 @@ def test_build_rejects_pair_collisions():
     )
     with pytest.raises(ValueError):
         build_tuple(sys_, p)
-
-
-# ------------------------------------------------------------- power iteration
-
-
-def test_power_iteration_diagonal_oracle():
-    a = sp.diags([3.0, 1.0, 2.0]).tocsc()
-    res = power_iteration(a)
-    assert res.converged
-    assert res.value == pytest.approx(3.0, rel=1e-12)
-
-
-def test_power_iteration_matches_dense_svd():
-    rng = np.random.default_rng(8)
-    for _ in range(5):
-        m = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
-        want = np.linalg.svd(m, compute_uv=False)[0]
-        got = operator_norm(sp.csc_matrix(m))
-        assert got == pytest.approx(want, rel=1e-9)
-
-
-def test_power_iteration_zero_matrix():
-    a = sp.csc_matrix((5, 5), dtype=complex)
-    assert operator_norm(a) == 0.0
-
-
-def test_power_iteration_reports_nonconvergence():
-    rng = np.random.default_rng(9)
-    m = sp.csc_matrix(rng.normal(size=(8, 8)))
-    res = power_iteration(m, tol=1e-30, max_iter=2)
-    assert not res.converged
-    with pytest.warns(RuntimeWarning):
-        operator_norm(m, tol=1e-30, max_iter=2)
 
 
 # ---------------------------------------------------------------- row condition

@@ -2,13 +2,15 @@
 
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vnlab.cli import EXIT_CERTIFICATION, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from vnlab.cli import EXIT_CERTIFICATION, EXIT_CONFIG, EXIT_IO, EXIT_OK, _build_parser, main
 from vnlab.polynomials import HomogeneousPolynomial
 from vnlab.report import (
     ExperimentReport,
@@ -196,6 +198,22 @@ def test_cli_rademacher_check_csv(tmp_path, capsys):
         assert col in header
 
 
+def test_cli_rademacher_check_mc_check_flags(tmp_path, capsys):
+    sys_path = tmp_path / "sys.txt"
+    run_cli("steiner", "gen", "--n", "7", "--k", "3", "--t", "2", "--out", str(sys_path))
+    capsys.readouterr()
+    rc = run_cli(
+        "rademacher", "check", "--system", str(sys_path),
+        "--pairs", "5", "--mc-pairs", "1", "--mc-draws", "500",
+        "--mc-checks", "2", "--mc-check-draws", "700",
+    )
+    assert rc == EXIT_OK
+    body = json.loads(capsys.readouterr().out)
+    assert body["config"]["mc_checks"] == 2
+    assert body["config"]["mc_check_draws"] == 700
+    assert sum(r["kind"] == "l2_mc" for r in body["records"]) == 2
+
+
 def test_cli_bounds_sweep_json(capsys):
     rc = run_cli(
         "bounds", "sweep", "--kind", "C", "--q", "inf", "--k", "3",
@@ -212,8 +230,33 @@ def test_cli_bench(capsys):
     rc = run_cli("bench", "--nvar", "6", "--terms", "8", "--batch", "4", "--repeats", "1")
     assert rc == EXIT_OK
     body = json.loads(capsys.readouterr().out)
+    assert len(body["records"]) == 1
     assert any(r["backend"] == "python" for r in body["records"])
-    assert all("grad_speedup_vs_python" in r for r in body["records"])
+
+
+def readme_commands():
+    """Every `vnlab ...` line of the README's sh blocks, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in text.split("```sh\n")[1:]:
+        body = block.split("```")[0].replace("\\\n", " ")
+        for line in body.splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["vnlab"]:
+                commands.append(argv[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    groups = {argv[0] for argv in commands}
+    assert groups == {"steiner", "poly", "norm", "dixon", "rademacher", "bounds", "bench"}
+    parser = _build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command rejected: vnlab {shlex.join(argv)}")
 
 
 def test_cli_reproducible_records(tmp_path):
