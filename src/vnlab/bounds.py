@@ -19,7 +19,6 @@ satisfies the constraint at both vectors.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -460,9 +459,9 @@ def scaling_sweep(
     seeds_per_n: int,
     *,
     seed: int = 0,
-    threads: int = 1,
     fit_column: str | None = None,
-    **cell_params,
+    norm_restarts: int = 16,
+    norm_max_iter: int = 800,
 ) -> SweepResult:
     """Run a pipeline over a grid of n with several seeds per n and fit growth.
 
@@ -471,7 +470,8 @@ def scaling_sweep(
     exists at q = inf, so the certified column is flat by construction
     there).  A cell that raises, for instance because a hard certificate
     fails, is excluded and reported in warnings with its exception type;
-    the per-n median uses the surviving cells.
+    the per-n median uses the surviving cells.  norm_restarts and
+    norm_max_iter go to the norm ascent of every cell.
     """
     kind = kind.upper()
     if kind not in ("C", "D"):
@@ -489,26 +489,20 @@ def scaling_sweep(
     if k < 3 or any(n < k for n in n_values):
         raise ValueError(f"need n >= k >= 3 on the whole grid, got k={k} n={n_values}")
 
-    def run_cell(args):
-        n, idx = args
-        cell_seed = _cell_seed(seed, n, idx)
-        if kind == "D":
-            return lower_bound_D(k, n, cell_seed, **cell_params)
-        return lower_bound_C(k, q, n, cell_seed, **cell_params)
-
-    cells = [(n, i) for n in n_values for i in range(seeds_per_n)]
+    norm = {"norm_restarts": norm_restarts, "norm_max_iter": norm_max_iter}
     records = []
     warnings_list = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_guarded(run_cell), cells))
-    else:
-        outcomes = [_guarded(run_cell)(c) for c in cells]
-    for (n, i), outcome in zip(cells, outcomes):
-        if isinstance(outcome, BoundRecord):
-            records.append(outcome)
-        else:
-            warnings_list.append(f"cell n={n} index={i} excluded: {outcome}")
+    for n in n_values:
+        for i in range(seeds_per_n):
+            cell_seed = _cell_seed(seed, n, i)
+            try:
+                # module globals, so a tracer or a test can replace the pipelines
+                if kind == "D":
+                    records.append(lower_bound_D(k, n, cell_seed, **norm))
+                else:
+                    records.append(lower_bound_C(k, q, n, cell_seed, **norm))
+            except Exception as exc:
+                warnings_list.append(f"cell n={n} index={i} excluded: {type(exc).__name__}: {exc}")
 
     medians = []
     for n in n_values:
@@ -539,14 +533,3 @@ def scaling_sweep(
         warnings=tuple(warnings_list),
     )
 
-
-def _guarded(fn):
-    """Run one cell; a cell that raises becomes its warning text."""
-
-    def wrapped(arg):
-        try:
-            return fn(arg)
-        except Exception as exc:
-            return f"{type(exc).__name__}: {exc}"
-
-    return wrapped

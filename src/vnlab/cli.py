@@ -2,8 +2,9 @@
 
 Subcommands: steiner gen | steiner validate | poly rand | norm |
 dixon verify | rademacher check | bounds sweep | bench.  Global flags:
---seed (always explicit, default 0), --threads, --out, --format, --config.
-A JSON config file supplies defaults; CLI flags override file values.
+--seed (always explicit, default 0), --out, --format, --config.
+A JSON config file supplies defaults; CLI flags override file values,
+and a key that no option of the command reads is ignored.
 
 Exit codes: 0 success, 1 invalid configuration, 2 validation or
 certification failure, 3 I/O error.
@@ -60,7 +61,6 @@ _DEFAULTS = {
         "q": "2",
         "seeds": 5,
         "seed": 0,
-        "threads": 1,
         "norm_restarts": 16,
         "norm_max_iter": 800,
         "fit_column": None,
@@ -326,7 +326,6 @@ def _handle_bounds_sweep(cfg):
             n_values,
             cfg["seeds"],
             seed=cfg["seed"],
-            threads=cfg["threads"],
             fit_column=cfg["fit_column"],
             norm_restarts=cfg["norm_restarts"],
             norm_max_iter=cfg["norm_max_iter"],
@@ -392,7 +391,6 @@ def execute(config: dict):
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int)
-    common.add_argument("--threads", type=int)
     common.add_argument("--out", type=str)
     common.add_argument("--format", choices=["json", "csv"], dest="fmt")
     common.add_argument("--config", type=str)
@@ -500,7 +498,6 @@ def main(argv=None) -> int:
     if config.get("kind"):
         config["kind"] = str(config["kind"]).upper()
     config.setdefault("seed", 0)
-    config.setdefault("threads", 1)
 
     try:
         rep, artifact, failed = execute(config)

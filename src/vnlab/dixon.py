@@ -219,10 +219,12 @@ def pte_coefficient(tup: DixonTuple):
 
 
 # One home for the certificate tolerances: commutator entries, the
-# deviation of each ||T_l|| from 1, and the coefficient and residual of p(T)e.
+# deviation of each ||T_l|| from 1, the coefficient and residual of p(T)e,
+# and the excess of the row value over 1.
 COMMUTATOR_TOL = 1e-12
 OPNORM_TOL = 1e-10
 ACTION_TOL = 1e-9
+ROW_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -269,8 +271,8 @@ class RowConditionResult:
     alpha: np.ndarray
     block_row_norm: float
 
-    def satisfied(self, tol: float = 1e-9) -> bool:
-        return self.value <= 1.0 + tol
+    def satisfied(self) -> bool:
+        return self.value <= 1.0 + ROW_TOL
 
 
 def _combination_norm(tup: DixonTuple, alpha) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .polynomials import HomogeneousPolynomial
+from .polynomials import HomogeneousPolynomial, polarization_signs
 from .util import Exponent, stream
 
 _STEP_GROW = 1.3
@@ -118,53 +118,97 @@ def _batched_ascent(params, value_fn, grad_fn, max_iter, tol):
     return params, values, iterations, converged
 
 
-def _phases_to_points(theta):
-    return np.exp(1j * theta)
+def _points(params, qf, shape):
+    """Unit-sphere points of shape (R, blocks, n) from parameter rows.
 
-
-def _phase_pullback(g, z):
-    # d|p|^2/dtheta_j for z_j = exp(i theta_j), with g = 2 conj(p) grad p
-    return -np.imag(g * z)
-
-
-def _softplus_points(w, theta, q):
+    At qf = inf a row holds one phase per coordinate, z = exp(i theta).
+    At finite qf it holds, per block, softplus weights w and then phases
+    theta, with magnitudes s / ||s||_q for s = softplus(w).  Returns the
+    points and what _pullback needs (None at qf = inf).
+    """
+    blocks, n = shape
+    # one 2-D row per block, so each block follows the arithmetic of a single vector
+    rows = params.reshape(params.shape[0] * blocks, -1)
+    if qf == math.inf:
+        return np.exp(1j * rows).reshape(-1, blocks, n), None
+    w, theta = rows[:, :n], rows[:, n:]
     s = np.logaddexp(0.0, w)
-    nu = (s**q).sum(axis=1) ** (1.0 / q)
-    mag = s / nu[:, None]
-    return mag * np.exp(1j * theta), s, nu
+    nu = (s**qf).sum(axis=1) ** (1.0 / qf)
+    z = s / nu[:, None] * np.exp(1j * theta)
+    return z.reshape(-1, blocks, n), (w, theta, s, nu)
 
 
-def _softplus_pullback(g, w, theta, s, nu, q):
+def _pullback(g, z, aux, qf):
+    """Parameter-row gradient of |f|^2 from g = 2 conj(f) df/dz at points z."""
+    nrows, n = z.shape[0], z.shape[2]
+    g = g.reshape(-1, n)
+    if qf == math.inf:
+        # d|f|^2/dtheta_j for z_j = exp(i theta_j)
+        return (-np.imag(g * z.reshape(-1, n))).reshape(nrows, -1)
+    w, theta, s, nu = aux
     # chain rule through magnitudes m = s / ||s||_q with s = softplus(w)
     radial = np.real(g * np.exp(1j * theta))
     proj = (radial * s).sum(axis=1)
     dw = expit(w) * (
-        radial / nu[:, None] - s ** (q - 1.0) * (proj / nu ** (q + 1.0))[:, None]
+        radial / nu[:, None] - s ** (qf - 1.0) * (proj / nu ** (qf + 1.0))[:, None]
     )
     dtheta = -np.imag(g * s / nu[:, None] * np.exp(1j * theta))
-    return dw, dtheta
+    return np.concatenate([dw, dtheta], axis=1).reshape(nrows, -1)
 
 
-def _init_params(p_n, q, restarts, seed, label, extra_points):
+def _start_rows(shape, qf, restarts, seed, label, extra):
     """Random parameter rows plus rows encoding caller-supplied start points."""
     rows = []
     for r in range(restarts):
         rng = stream(seed, label, r)
-        theta = rng.uniform(0.0, 2.0 * math.pi, size=p_n)
-        if q.is_inf:
+        theta = rng.uniform(0.0, 2.0 * math.pi, size=shape)
+        if qf == math.inf:
             rows.append(theta)
         else:
-            w = rng.normal(0.0, 1.0, size=p_n)
-            rows.append(np.concatenate([w, theta]))
-    for z in extra_points:
-        z = np.asarray(z, dtype=np.complex128).reshape(-1)
+            w = rng.normal(0.0, 1.0, size=shape)
+            rows.append(np.concatenate([w, theta], axis=-1))
+    for z in extra:
+        z = np.asarray(z, dtype=np.complex128).reshape(shape)
         theta = np.angle(z)
-        if q.is_inf:
+        if qf == math.inf:
             rows.append(theta)
         else:
             mag = np.maximum(np.abs(z), 1e-9)
-            rows.append(np.concatenate([np.log(np.expm1(mag) + 1e-300), theta]))
-    return np.array(rows, dtype=np.float64)
+            rows.append(np.concatenate([np.log(np.expm1(mag) + 1e-300), theta], axis=-1))
+    return np.array(rows, dtype=np.float64).reshape(len(rows), -1)
+
+
+def _maximize(objective, shape, q, restarts, max_iter, tol, seed, label, extra_starts):
+    """Multistart ascent of |f| over products of l_q unit spheres.
+
+    objective(z, grad) takes points of shape (R, blocks, n) and returns the
+    complex values f (R,), or with grad=True the pair (f, df/dz) with df of
+    shape (R, blocks, n).  Returns (points, value, restarts, iterations,
+    converged restarts) for the best row, each block normalized to
+    ||v||_q = 1 and value = |f| evaluated there.
+    """
+    qf = q.as_float()
+
+    def value_fn(params):
+        return np.abs(objective(_points(params, qf, shape)[0], False)) ** 2
+
+    def grad_fn(params):
+        z, aux = _points(params, qf, shape)
+        vals, grads = objective(z, True)
+        g = 2.0 * np.conj(vals)[:, None, None] * grads
+        return np.abs(vals) ** 2, _pullback(g, z, aux, qf)
+
+    params = _start_rows(shape, qf, restarts, seed, label, extra_starts)
+    params, values, iterations, converged = _batched_ascent(
+        params, value_fn, grad_fn, max_iter, tol
+    )
+    best = int(np.argmax(values))
+    z, _ = _points(params[best : best + 1], qf, shape)
+    points = z[0]
+    if not q.is_inf:
+        points = np.array([v / float(np.linalg.norm(v, ord=qf)) for v in points])
+    value = abs(complex(objective(points[None], False)[0]))
+    return points, float(value), params.shape[0], iterations, int(converged.sum())
 
 
 def estimate_norm(
@@ -201,49 +245,17 @@ def estimate_norm(
             witness /= float(np.linalg.norm(witness, ord=q.as_float()))
         return NormEstimate(q, 0.0, 0.0, witness, "ascent", method_upper, 0, 0, 0)
 
-    qf = q.as_float()
+    def objective(z, grad):
+        if not grad:
+            return p.evaluate_batch(z[:, 0])
+        vals, grads = p.gradient_batch(z[:, 0])
+        return vals, grads[:, None, :]
 
-    def unpack(params):
-        if q.is_inf:
-            return _phases_to_points(params), None
-        w, theta = params[:, : p.n], params[:, p.n :]
-        z, s, nu = _softplus_points(w, theta, qf)
-        return z, (w, theta, s, nu)
-
-    def value_fn(params):
-        z, _ = unpack(params)
-        return np.abs(p.evaluate_batch(z)) ** 2
-
-    def grad_fn(params):
-        z, aux = unpack(params)
-        vals, grads = p.gradient_batch(z)
-        g = 2.0 * np.conj(vals)[:, None] * grads
-        if q.is_inf:
-            return np.abs(vals) ** 2, _phase_pullback(g, z)
-        w, theta, s, nu = aux
-        dw, dtheta = _softplus_pullback(g, w, theta, s, nu, qf)
-        return np.abs(vals) ** 2, np.concatenate([dw, dtheta], axis=1)
-
-    params = _init_params(p.n, q, restarts, seed, "norm-ascent", list(extra_starts))
-    params, values, iterations, converged = _batched_ascent(
-        params, value_fn, grad_fn, max_iter, tol
+    points, lower, nrows, iterations, converged = _maximize(
+        objective, (1, p.n), q, restarts, max_iter, tol, seed, "norm-ascent", extra_starts
     )
-    best = int(np.argmax(values))
-    z_best, _ = unpack(params[best : best + 1])
-    witness = z_best[0]
-    if not q.is_inf:
-        witness = witness / float(np.linalg.norm(witness, ord=qf))
-    lower = abs(p.evaluate(witness))
     return NormEstimate(
-        q,
-        float(lower),
-        float(upper),
-        witness,
-        "ascent",
-        method_upper,
-        params.shape[0],
-        iterations,
-        int(converged.sum()),
+        q, lower, float(upper), points[0], "ascent", method_upper, nrows, iterations, converged
     )
 
 
@@ -269,91 +281,23 @@ def multilinear_estimate(
     k, n = p.k, p.n
     if p.term_count == 0:
         return MultilinearEstimate(q, 0.0, np.ones((k, n), dtype=np.complex128), 0, 0, 0)
-    qf = q.as_float()
-    sign_rows = np.array(
-        [[1.0 if (e >> j) & 1 == 0 else -1.0 for j in range(k)] for e in range(2**k)]
-    )
-    parity = sign_rows.prod(axis=1)
-    scale = 1.0 / (2**k * math.factorial(k))
-    per_vec = n if q.is_inf else 2 * n
+    signs, parity, count = polarization_signs(k)
+    scale = 1.0 / count
 
-    def unpack(params):
-        nrows = params.shape[0]
-        blocks = params.reshape(nrows, k, per_vec)
-        if q.is_inf:
-            return _phases_to_points(blocks), None
-        w, theta = blocks[:, :, :n], blocks[:, :, n:]
-        s = np.logaddexp(0.0, w)
-        nu = (s**qf).sum(axis=2) ** (1.0 / qf)
-        z = s / nu[:, :, None] * np.exp(1j * theta)
-        return z, (w, theta, s, nu)
-
-    def form_values(z):
+    def objective(z, grad):
         nrows = z.shape[0]
-        points = np.einsum("ek,rkn->ren", sign_rows, z).reshape(-1, n)
-        vals = p.evaluate_batch(points).reshape(nrows, -1)
-        return scale * (vals @ parity)
-
-    def value_fn(params):
-        z, _ = unpack(params)
-        return np.abs(form_values(z)) ** 2
-
-    def grad_fn(params):
-        z, aux = unpack(params)
-        nrows = z.shape[0]
-        points = np.einsum("ek,rkn->ren", sign_rows, z).reshape(-1, n)
+        points = np.einsum("ek,rkn->ren", signs, z).reshape(-1, n)
+        if not grad:
+            return scale * (p.evaluate_batch(points).reshape(nrows, -1) @ parity)
         vals, grads = p.gradient_batch(points)
-        vals = vals.reshape(nrows, -1)
-        grads = grads.reshape(nrows, -1, n)
-        form = scale * (vals @ parity)
-        dform = scale * np.einsum("e,ek,ren->rkn", parity, sign_rows, grads)
-        g = 2.0 * np.conj(form)[:, None, None] * dform
-        if q.is_inf:
-            pull = -np.imag(g * z)
-            return np.abs(form) ** 2, pull.reshape(nrows, -1)
-        w, theta, s, nu = aux
-        radial = np.real(g * np.exp(1j * theta))
-        proj = (radial * s).sum(axis=2)
-        dw = expit(w) * (
-            radial / nu[:, :, None] - s ** (qf - 1.0) * (proj / nu ** (qf + 1.0))[:, :, None]
-        )
-        dtheta = -np.imag(g * z)
-        pull = np.concatenate([dw, dtheta], axis=2)
-        return np.abs(form) ** 2, pull.reshape(nrows, -1)
+        form = scale * (vals.reshape(nrows, -1) @ parity)
+        dform = scale * np.einsum("e,ek,ren->rkn", parity, signs, grads.reshape(nrows, -1, n))
+        return form, dform
 
-    rows = []
-    for r in range(restarts):
-        rng = stream(seed, "multilinear-ascent", r)
-        theta = rng.uniform(0.0, 2.0 * math.pi, size=(k, n))
-        if q.is_inf:
-            rows.append(theta.reshape(-1))
-        else:
-            w = rng.normal(0.0, 1.0, size=(k, n))
-            rows.append(np.concatenate([w, theta], axis=1).reshape(-1))
-    for zs in extra_starts:
-        zs = np.asarray(zs, dtype=np.complex128).reshape(k, n)
-        theta = np.angle(zs)
-        if q.is_inf:
-            rows.append(theta.reshape(-1))
-        else:
-            mag = np.maximum(np.abs(zs), 1e-9)
-            w = np.log(np.expm1(mag) + 1e-300)
-            rows.append(np.concatenate([w, theta], axis=1).reshape(-1))
-    params = np.array(rows, dtype=np.float64)
-
-    params, values, iterations, converged = _batched_ascent(
-        params, value_fn, grad_fn, max_iter, tol
+    vectors, value, nrows, iterations, converged = _maximize(
+        objective, (k, n), q, restarts, max_iter, tol, seed, "multilinear-ascent", extra_starts
     )
-    best = int(np.argmax(values))
-    z_best, _ = unpack(params[best : best + 1])
-    vectors = z_best[0]
-    if not q.is_inf:
-        norms = np.linalg.norm(vectors, ord=qf, axis=1)
-        vectors = vectors / norms[:, None]
-    value = abs(complex(form_values(vectors[None, :, :])[0]))
-    return MultilinearEstimate(
-        q, float(value), vectors, params.shape[0], iterations, int(converged.sum())
-    )
+    return MultilinearEstimate(q, value, vectors, nrows, iterations, converged)
 
 
 def exact_norm_quadratic_l2(p: HomogeneousPolynomial) -> float:

@@ -199,9 +199,7 @@ def test_criterion_06_psi2_calibration():
 
 def test_criterion_07_d_pipeline_scaling():
     t0 = time.time()
-    res = scaling_sweep(
-        "D", 3, 2, range(7, 26), 5, seed=ROOT_SEED, threads=4
-    )
+    res = scaling_sweep("D", 3, 2, range(7, 26), 5, seed=ROOT_SEED)
     assert res.warnings == (), res.warnings
     assert res.inversions <= 1, res.medians
     assert 1.2 <= res.fit.slope <= 2.0, res.fit.slope
@@ -213,9 +211,7 @@ def test_criterion_07_d_pipeline_scaling():
 
 def test_criterion_08_c_pipeline_scaling_at_infinity():
     t0 = time.time()
-    res = scaling_sweep(
-        "C", 3, "inf", range(7, 26), 5, seed=ROOT_SEED, threads=4
-    )
+    res = scaling_sweep("C", 3, "inf", range(7, 26), 5, seed=ROOT_SEED)
     assert res.warnings == (), res.warnings
     assert 0.2 <= res.fit.slope <= 0.7, res.fit.slope
     _pass(8, f"95-cell sweep n=7..25 at q=inf: slope {res.fit.slope:.3f} "

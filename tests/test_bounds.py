@@ -226,12 +226,11 @@ def test_sweep_small_grid_structure():
     assert summary["kind"] == "D" and len(summary["medians"]) == 2
 
 
-def test_sweep_is_deterministic_and_thread_invariant():
+def test_sweep_is_deterministic():
     a = scaling_sweep("C", 3, "inf", [7, 9], 2, seed=7)
     b = scaling_sweep("C", 3, "inf", [7, 9], 2, seed=7)
-    c = scaling_sweep("C", 3, "inf", [7, 9], 2, seed=7, threads=2)
-    assert a.to_records() == b.to_records() == c.to_records()
-    assert a.fit.slope == b.fit.slope == c.fit.slope
+    assert a.to_records() == b.to_records()
+    assert a.fit.slope == b.fit.slope
 
 
 def test_sweep_validates_inputs():
@@ -245,8 +244,7 @@ def test_sweep_validates_inputs():
         scaling_sweep("D", 3, 2, [7, 9], 1, fit_column="no_such_column")
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_sweep_turns_a_crashing_cell_into_a_warning(monkeypatch, threads):
+def test_sweep_turns_a_crashing_cell_into_a_warning(monkeypatch):
     import vnlab.bounds as bounds_mod
 
     real = bounds_mod.lower_bound_C
@@ -259,7 +257,7 @@ def test_sweep_turns_a_crashing_cell_into_a_warning(monkeypatch, threads):
         return real(k, q, n, seed, **kw)
 
     monkeypatch.setattr(bounds_mod, "lower_bound_C", flaky)
-    res = scaling_sweep("C", 3, "inf", [7, 9, 11], 1, seed=3, threads=threads)
+    res = scaling_sweep("C", 3, "inf", [7, 9, 11], 1, seed=3)
     assert [r.n for r in res.records] == [7, 11]
     assert [n for n, _ in res.medians] == [7, 11]
     assert res.warnings[0] == "cell n=9 index=0 excluded: RuntimeError: injected failure"
@@ -267,7 +265,18 @@ def test_sweep_turns_a_crashing_cell_into_a_warning(monkeypatch, threads):
     # a grid point below k is a configuration error, raised before any cell runs
     calls.clear()
     with pytest.raises(ValueError):
-        scaling_sweep("C", 3, "inf", [7, 2], 1, threads=threads)
+        scaling_sweep("C", 3, "inf", [7, 2], 1)
+    assert calls == []
+
+
+@pytest.mark.parametrize("bad", [{"norm_restart": 4}, {"threads": 4}], ids=["typo", "threads"])
+def test_sweep_rejects_unknown_keywords_before_any_cell(monkeypatch, bad):
+    import vnlab.bounds as bounds_mod
+
+    calls = []
+    monkeypatch.setattr(bounds_mod, "lower_bound_C", lambda *a, **kw: calls.append(a))
+    with pytest.raises(TypeError):
+        scaling_sweep("C", 3, "inf", [7, 9], 1, **bad)
     assert calls == []
 
 

@@ -166,6 +166,19 @@ def test_multilinear_linf_sandwich():
     assert mul.value <= math.sqrt(3) * est.lower + 1e-3
 
 
+def test_multilinear_finite_q_stays_on_the_unit_spheres():
+    # q = 3/2 runs the softplus parameterization on every block
+    p = random_steiner_polynomial(fano_system(), rng=np.random.default_rng(17))
+    est = estimate_norm(p, "3/2", restarts=8, seed=11)
+    mul = multilinear_estimate(
+        p, "3/2", restarts=4, seed=11, extra_starts=[np.tile(est.witness, (3, 1))]
+    )
+    assert mul.value >= est.lower - 1e-9
+    assert mul.vectors.shape == (3, 7)
+    for v in mul.vectors:
+        assert abs(np.linalg.norm(v, ord=1.5) - 1.0) <= 1e-12
+
+
 def test_multilinear_zero_polynomial():
     zero = HomogeneousPolynomial(n=3, k=3, coeffs={})
     mul = multilinear_estimate(zero, 2, restarts=2, seed=0)
