@@ -272,7 +272,6 @@ def lower_bound_D(
     *,
     norm_restarts: int = 16,
     norm_max_iter: int = 800,
-    compute_direct: bool = True,
 ) -> BoundRecord:
     """One cell of the D pipeline at q = 2.
 
@@ -303,10 +302,7 @@ def lower_bound_D(
     bound = scale**k * card / upper
     bound_adj = scale_adj**k * card / upper
     bound_est = scale**k * card / est.lower if est.lower > 0 else math.inf
-    if compute_direct:
-        direct_norm = _direct_norm(p, tup)
-    else:
-        direct_norm = float(card)
+    direct_norm = _direct_norm(p, tup)
     refs = reference_exponents(k, 2)
     return BoundRecord(
         kind="D",
@@ -345,7 +341,6 @@ def lower_bound_C(
     *,
     norm_restarts: int = 16,
     norm_max_iter: int = 800,
-    compute_direct: bool = False,
 ) -> BoundRecord:
     """One cell of the C pipeline at exponent q.
 
@@ -363,7 +358,7 @@ def lower_bound_C(
     est = estimate_norm(
         p, q, restarts=norm_restarts, max_iter=norm_max_iter, seed=seed
     )
-    tup, cert = _certified_tuple(system, p)
+    _, cert = _certified_tuple(system, p)
     if q.is_inf:
         scale = 1.0
         denom_cert = p.coefficient_sum
@@ -380,10 +375,8 @@ def lower_bound_C(
             denom_cert = interpolation_upper_low(q, l1_ball_upper_bound(p), u2, k)
     bound_cert = scale**k * card / denom_cert if denom_cert > 0 else math.inf
     bound_est = scale**k * card / est.lower if est.lower > 0 else math.inf
-    if compute_direct:
-        direct_norm = _direct_norm(p, tup)
-    else:
-        direct_norm = float(card)
+    # p(T) = |J| g e^* has norm |J|; the D pipeline measures it instead
+    direct_norm = float(card)
     refs = reference_exponents(k, q)
     ref_lower = refs.improved_lower if refs.improved_lower is not None else refs.classical_lower
     return BoundRecord(

@@ -3,8 +3,10 @@
 Subcommands: steiner gen | steiner validate | poly rand | norm |
 dixon verify | rademacher check | bounds sweep | bench.  Global flags:
 --seed (always explicit, default 0), --out, --format, --config.
-A JSON config file supplies defaults; CLI flags override file values,
-and a key that no option of the command reads is ignored.
+A JSON config file supplies values keyed by option name in underscore
+form (--max-iter is max_iter), and CLI flags override file values.  A key
+that is not an option of the command exits 1, except the retired keys
+threads, row_trials, row_restarts and row_iters, which are ignored.
 
 Exit codes: 0 success, 1 invalid configuration, 2 validation or
 certification failure, 3 I/O error.
@@ -13,6 +15,7 @@ certification failure, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -23,58 +26,23 @@ from . import bounds, dixon, norms, rademacher, steiner
 from .polynomials import HomogeneousPolynomial, random_steiner_polynomial
 from .report import ExperimentReport, content_hash
 from .steiner import PartialSteinerSystem
-from .util import Exponent
+from .util import Exponent, stream
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_CERTIFICATION = 2
 EXIT_IO = 3
 
+# config keys of removed options, accepted and ignored so older configs still run
+_RETIRED_KEYS = frozenset({"threads", "row_trials", "row_restarts", "row_iters"})
+
 
 class ConfigError(ValueError):
     pass
 
 
-_DEFAULTS = {
-    "steiner.gen": {"seed": 0},
-    "steiner.validate": {},
-    "poly.rand": {"seed": 0},
-    "norm": {
-        "q": "2",
-        "restarts": 32,
-        "max_iter": 2000,
-        "tol": 1e-10,
-        "seed": 0,
-        "flattening": True,
-    },
-    "dixon.verify": {"scale": None, "seed": 0},
-    "rademacher.check": {
-        "pairs": 200,
-        "mc_pairs": 3,
-        "mc_draws": 20000,
-        "mc_checks": 3,
-        "mc_check_draws": 100000,
-        "seed": 0,
-    },
-    "bounds.sweep": {
-        "kind": "D",
-        "q": "2",
-        "seeds": 5,
-        "seed": 0,
-        "norm_restarts": 16,
-        "norm_max_iter": 800,
-        "fit_column": None,
-    },
-    "bench": {"nvar": 25, "terms": 90, "batch": 32, "k": 3, "repeats": 5},
-}
-
-
 def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
-
-
-def _load_system(path: str) -> PartialSteinerSystem:
-    return steiner.loads_system(_read_text(path))
 
 
 def _require(cfg: dict, *keys):
@@ -92,6 +60,17 @@ def _positive_int(cfg: dict, *keys):
             raise ConfigError(f"option {key} must be a positive integer, got {value!r}")
 
 
+def _report(cfg, records, *inputs, **extra) -> ExperimentReport:
+    """The command's report; its input hash covers cfg and the input texts."""
+    return ExperimentReport(
+        command=cfg["command"],
+        config=cfg,
+        input_hash=content_hash(cfg, *inputs),
+        records=records,
+        **extra,
+    )
+
+
 def _handle_steiner_gen(cfg):
     _require(cfg, "n", "k", "t")
     _positive_int(cfg, "n", "k", "t")
@@ -105,13 +84,7 @@ def _handle_steiner_gen(cfg):
         "ceiling": str(steiner.max_cardinality(system.n, system.k, system.t)),
         "valid": result.valid,
     }
-    rep = ExperimentReport(
-        command="steiner.gen",
-        config=cfg,
-        input_hash=content_hash(cfg),
-        records=[record],
-    )
-    return rep, steiner.dumps_system(system), False
+    return _report(cfg, [record]), steiner.dumps_system(system), False
 
 
 def _handle_steiner_validate(cfg):
@@ -151,13 +124,7 @@ def _handle_steiner_validate(cfg):
         for err in result.structural_errors:
             records.append({"kind": "structural", "error": err})
         failed = not result.valid
-    rep = ExperimentReport(
-        command="steiner.validate",
-        config=cfg,
-        input_hash=content_hash(cfg, text),
-        records=records,
-    )
-    return rep, None, failed
+    return _report(cfg, records, text), None, failed
 
 
 def _handle_poly_rand(cfg):
@@ -166,13 +133,7 @@ def _handle_poly_rand(cfg):
     system = steiner.loads_system(text)
     p = random_steiner_polynomial(system, cfg["seed"])
     record = {"n": p.n, "k": p.k, "terms": p.term_count}
-    rep = ExperimentReport(
-        command="poly.rand",
-        config=cfg,
-        input_hash=content_hash(cfg, text),
-        records=[record],
-    )
-    return rep, p.to_json() + "\n", False
+    return _report(cfg, [record], text), p.to_json() + "\n", False
 
 
 def _handle_norm(cfg):
@@ -193,13 +154,7 @@ def _handle_norm(cfg):
         upper_bound=upper,
         upper_label="flattening",
     )
-    rep = ExperimentReport(
-        command="norm",
-        config=cfg,
-        input_hash=content_hash(cfg, text),
-        records=[est.to_record()],
-        summary={"witness": est.witness_json()},
-    )
+    rep = _report(cfg, [est.to_record()], text, summary={"witness": est.witness_json()})
     return rep, None, False
 
 
@@ -211,47 +166,22 @@ def _handle_dixon_verify(cfg):
     try:
         tup = dixon.build_tuple(system, p)
     except ValueError as exc:
-        rep = ExperimentReport(
-            command="dixon.verify",
-            config=cfg,
-            input_hash=content_hash(cfg, text),
-            records=[{"built": False, "certified": False, "error": str(exc)}],
-        )
-        return rep, None, True
-    data = dixon.verify_report(tup, scale=cfg["scale"], seed=cfg["seed"])
-    record = {
-        "built": True,
-        "dimension": data["dimension"],
-        "cardinality": data["cardinality"],
-        "max_commutator": data["max_commutator"],
-        "opnorm_max_dev": data["opnorm_max_dev"],
-        "pTe_re": data["pTe_coefficient"]["re"],
-        "pTe_im": data["pTe_coefficient"]["im"],
-        "pTe_residual": data["pTe_residual"],
-        "row_scale": data["row_scale"],
-        "row_condition_value": data["row_condition_value"],
-        "block_row_norm": data["block_row_norm"],
-        "certified": data["certified"],
-    }
-    rep = ExperimentReport(
-        command="dixon.verify",
-        config=cfg,
-        input_hash=content_hash(cfg, text),
-        records=[record],
-        summary={"op_norms": data["op_norms"]},
-    )
-    return rep, None, not data["certified"]
+        record = {"built": False, "certified": False, "error": str(exc)}
+        return _report(cfg, [record], text), None, True
+    record = dixon.verify_report(tup, scale=cfg["scale"], seed=cfg["seed"])
+    summary = {"op_norms": record.pop("op_norms")}
+    return _report(cfg, [record], text, summary=summary), None, not record["certified"]
+
+
+def _check(kind, lhs, rhs, ratio, ok) -> dict:
+    return {"kind": kind, "lhs": lhs, "rhs": rhs, "ratio": ratio, "ok": ok}
 
 
 def _handle_rademacher_check(cfg):
     _require(cfg, "system")
     text = _read_text(cfg["system"])
     system = steiner.loads_system(text)
-    try:
-        proc = rademacher.RademacherProcess(system)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    records = []
+    proc = rademacher.RademacherProcess(system)
     lip = rademacher.lipschitz_check(
         proc,
         cfg["pairs"],
@@ -259,30 +189,15 @@ def _handle_rademacher_check(cfg):
         mc_pairs=cfg["mc_pairs"],
         mc_draws=cfg["mc_draws"],
     )
-    for lhs, rhs, ratio in lip.rows:
-        records.append(
-            {
-                "kind": "lipschitz",
-                "lhs": lhs,
-                "rhs": rhs,
-                "ratio": ratio,
-                "ok": lhs <= rhs + 1e-12,
-            }
-        )
-    for ratio in lip.psi2_l2_ratios:
-        records.append(
-            {
-                "kind": "psi2_l2_ratio",
-                "lhs": ratio,
-                "rhs": 4.0,
-                "ratio": ratio,
-                "ok": 0.4 <= ratio <= 4.0,
-            }
-        )
-    rng_pairs = range(cfg["mc_checks"])
-    for i in rng_pairs:
-        from .util import stream
-
+    records = [
+        _check("lipschitz", lhs, rhs, ratio, lhs <= rhs + 1e-12)
+        for lhs, rhs, ratio in lip.rows
+    ]
+    records += [
+        _check("psi2_l2_ratio", ratio, 4.0, ratio, 0.4 <= ratio <= 4.0)
+        for ratio in lip.psi2_l2_ratios
+    ]
+    for i in range(cfg["mc_checks"]):
         z = rademacher.ball_point(stream(cfg["seed"], "mc-check", i, 0), proc.n)
         zp = rademacher.ball_point(stream(cfg["seed"], "mc-check", i, 1), proc.n)
         closed = rademacher.l2_distance(proc, z, zp)
@@ -290,24 +205,10 @@ def _handle_rademacher_check(cfg):
             proc, z, zp, cfg["mc_check_draws"], cfg["seed"] + i
         )
         zscore = abs(mc - closed) / se if se > 0 else 0.0
-        records.append(
-            {
-                "kind": "l2_mc",
-                "lhs": closed,
-                "rhs": mc,
-                "ratio": zscore,
-                "ok": zscore <= 3.0,
-            }
-        )
+        records.append(_check("l2_mc", closed, mc, zscore, zscore <= 3.0))
     failed = any(not r["ok"] for r in records)
-    rep = ExperimentReport(
-        command="rademacher.check",
-        config=cfg,
-        input_hash=content_hash(cfg, text),
-        records=records,
-        summary={"max_lipschitz_ratio": lip.max_ratio, "violations": lip.violations},
-    )
-    return rep, None, failed
+    summary = {"max_lipschitz_ratio": lip.max_ratio, "violations": lip.violations}
+    return _report(cfg, records, text, summary=summary), None, failed
 
 
 def _handle_bounds_sweep(cfg):
@@ -318,27 +219,19 @@ def _handle_bounds_sweep(cfg):
         step = cfg.get("n_step") or 1
         n_values = list(range(cfg["n_min"], cfg["n_max"] + 1, step))
     _require(cfg, "k")
-    try:
-        result = bounds.scaling_sweep(
-            str(cfg["kind"]),
-            cfg["k"],
-            cfg["q"],
-            n_values,
-            cfg["seeds"],
-            seed=cfg["seed"],
-            fit_column=cfg["fit_column"],
-            norm_restarts=cfg["norm_restarts"],
-            norm_max_iter=cfg["norm_max_iter"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    rep = ExperimentReport(
-        command="bounds.sweep",
-        config=cfg,
-        input_hash=content_hash(cfg),
-        records=result.to_records(),
-        summary=result.summary(),
-        warnings=list(result.warnings),
+    result = bounds.scaling_sweep(
+        str(cfg["kind"]),
+        cfg["k"],
+        cfg["q"],
+        n_values,
+        cfg["seeds"],
+        seed=cfg["seed"],
+        fit_column=cfg["fit_column"],
+        norm_restarts=cfg["norm_restarts"],
+        norm_max_iter=cfg["norm_max_iter"],
+    )
+    rep = _report(
+        cfg, result.to_records(), summary=result.summary(), warnings=list(result.warnings)
     )
     return rep, None, False
 
@@ -351,24 +244,106 @@ def _handle_bench(cfg):
         k=cfg["k"],
         repeats=cfg["repeats"],
     )
-    rep = ExperimentReport(
-        command="bench",
-        config=cfg,
-        input_hash=content_hash(cfg),
-        records=records,
-    )
-    return rep, None, False
+    return _report(cfg, records), None, False
 
 
-_HANDLERS = {
-    "steiner.gen": _handle_steiner_gen,
-    "steiner.validate": _handle_steiner_validate,
-    "poly.rand": _handle_poly_rand,
-    "norm": _handle_norm,
-    "dixon.verify": _handle_dixon_verify,
-    "rademacher.check": _handle_rademacher_check,
-    "bounds.sweep": _handle_bounds_sweep,
-    "bench": _handle_bench,
+def _signature_defaults(fn, *names) -> dict:
+    """The defaults fn declares for the named parameters (all of them if none named)."""
+    params = inspect.signature(fn).parameters
+    return {name: params[name].default for name in names or params}
+
+
+# Option specs besides an argparse type: a tuple of choices and these two.
+_POSITIONAL = object()  # an optional positional argument
+_OFF_SWITCH = object()  # a default-on flag, turned off by --no-<name>
+
+# Each command's options and defaults, declared once: the parser and the
+# accepted config keys are built from this table, and a default that the
+# called library function declares is read from its signature.
+# command -> (handler, {option: spec}, defaults); an option without a default
+# is unset unless given, and its handler requires or skips it.
+_COMMANDS = {
+    "steiner.gen": (_handle_steiner_gen, {"n": int, "k": int, "t": int}, {"seed": 0}),
+    "steiner.validate": (_handle_steiner_validate, {"path": _POSITIONAL}, {}),
+    "poly.rand": (_handle_poly_rand, {"system": str}, {"seed": 0}),
+    "norm": (
+        _handle_norm,
+        {
+            "poly": str,
+            "q": str,
+            "restarts": int,
+            "max_iter": int,
+            "tol": float,
+            "flattening": _OFF_SWITCH,
+        },
+        {
+            "q": "2",
+            **_signature_defaults(norms.estimate_norm, "restarts", "max_iter", "tol", "seed"),
+            "flattening": True,
+        },
+    ),
+    "dixon.verify": (
+        _handle_dixon_verify,
+        {"poly": str, "scale": float},
+        _signature_defaults(dixon.verify_report, "scale", "seed"),
+    ),
+    "rademacher.check": (
+        _handle_rademacher_check,
+        {
+            "system": str,
+            "pairs": int,
+            "mc_pairs": int,
+            "mc_draws": int,
+            "mc_checks": int,
+            "mc_check_draws": int,
+        },
+        {
+            "pairs": 200,
+            **_signature_defaults(rademacher.lipschitz_check, "mc_pairs", "mc_draws"),
+            "mc_checks": 3,
+            "mc_check_draws": 100000,
+            "seed": 0,
+        },
+    ),
+    "bounds.sweep": (
+        _handle_bounds_sweep,
+        {
+            "kind": ("C", "D", "c", "d"),
+            "k": int,
+            "q": str,
+            "n_min": int,
+            "n_max": int,
+            "n_step": int,
+            "n_list": str,
+            "seeds": int,
+            "norm_restarts": int,
+            "norm_max_iter": int,
+            "fit_column": str,
+        },
+        {
+            "kind": "D",
+            "q": "2",
+            "seeds": 5,
+            **_signature_defaults(
+                bounds.scaling_sweep, "seed", "norm_restarts", "norm_max_iter", "fit_column"
+            ),
+        },
+    ),
+    "bench": (
+        _handle_bench,
+        {"nvar": int, "terms": int, "batch": int, "k": int, "repeats": int},
+        _signature_defaults(bench_mod.run_bench),
+    ),
+}
+
+_GROUP_HELP = {
+    "steiner": "block family generation and validation",
+    "poly": "polynomial construction",
+    "norm": "sup-norm bracket",
+    "dixon": "operator tuple certification",
+    "rademacher": "sign-process checks",
+    "bounds": "lower-bound pipelines",
+    "bench": "kernel timings",
 }
 
 
@@ -378,14 +353,29 @@ def execute(config: dict):
     Returns (report, artifact_text_or_None, certification_failed).
     """
     command = config.get("command")
-    if command not in _HANDLERS:
+    if command not in _COMMANDS:
         raise ConfigError(f"unknown command: {command!r}")
-    merged = dict(_DEFAULTS.get(command, {}))
+    handler, options, defaults = _COMMANDS[command]
+    unknown = sorted(set(config) - set(options) - {"command", "seed"} - _RETIRED_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config key(s) for {command}: {', '.join(unknown)}")
+    merged = dict(defaults)
     merged.update({k: v for k, v in config.items() if v is not None})
     t0 = time.perf_counter()
-    rep, artifact, failed = _HANDLERS[command](merged)
+    rep, artifact, failed = handler(merged)
     rep.timing_seconds = time.perf_counter() - t0
     return rep, artifact, failed
+
+
+def _add_option(parser, name: str, spec):
+    if spec is _POSITIONAL:
+        parser.add_argument(name, nargs="?")
+    elif spec is _OFF_SWITCH:
+        parser.add_argument(f"--no-{name}", action="store_false", dest=name, default=None)
+    elif isinstance(spec, tuple):
+        parser.add_argument("--" + name.replace("_", "-"), choices=spec)
+    else:
+        parser.add_argument("--" + name.replace("_", "-"), type=spec)
 
 
 def _build_parser():
@@ -397,67 +387,18 @@ def _build_parser():
 
     parser = argparse.ArgumentParser(prog="vnlab", description=__doc__)
     top = parser.add_subparsers(dest="group", required=True)
-
-    grp = top.add_parser("steiner", help="block family generation and validation")
-    sub = grp.add_subparsers(dest="action", required=True)
-    gen = sub.add_parser("gen", parents=[common])
-    gen.add_argument("--n", type=int)
-    gen.add_argument("--k", type=int)
-    gen.add_argument("--t", type=int)
-    val = sub.add_parser("validate", parents=[common])
-    val.add_argument("path", nargs="?")
-
-    grp = top.add_parser("poly", help="polynomial construction")
-    sub = grp.add_subparsers(dest="action", required=True)
-    rnd = sub.add_parser("rand", parents=[common])
-    rnd.add_argument("--system", type=str)
-
-    nrm = top.add_parser("norm", parents=[common], help="sup-norm bracket")
-    nrm.add_argument("--poly", type=str)
-    nrm.add_argument("--q", type=str)
-    nrm.add_argument("--restarts", type=int)
-    nrm.add_argument("--max-iter", type=int, dest="max_iter")
-    nrm.add_argument("--tol", type=float)
-    nrm.add_argument("--no-flattening", action="store_false", dest="flattening", default=None)
-
-    grp = top.add_parser("dixon", help="operator tuple certification")
-    sub = grp.add_subparsers(dest="action", required=True)
-    ver = sub.add_parser("verify", parents=[common])
-    ver.add_argument("--poly", type=str)
-    ver.add_argument("--scale", type=float)
-
-    grp = top.add_parser("rademacher", help="sign-process checks")
-    sub = grp.add_subparsers(dest="action", required=True)
-    chk = sub.add_parser("check", parents=[common])
-    chk.add_argument("--system", type=str)
-    chk.add_argument("--pairs", type=int)
-    chk.add_argument("--mc-pairs", type=int, dest="mc_pairs")
-    chk.add_argument("--mc-draws", type=int, dest="mc_draws")
-    chk.add_argument("--mc-checks", type=int, dest="mc_checks")
-    chk.add_argument("--mc-check-draws", type=int, dest="mc_check_draws")
-
-    grp = top.add_parser("bounds", help="lower-bound pipelines")
-    sub = grp.add_subparsers(dest="action", required=True)
-    swp = sub.add_parser("sweep", parents=[common])
-    swp.add_argument("--kind", choices=["C", "D", "c", "d"])
-    swp.add_argument("--k", type=int)
-    swp.add_argument("--q", type=str)
-    swp.add_argument("--n-min", type=int, dest="n_min")
-    swp.add_argument("--n-max", type=int, dest="n_max")
-    swp.add_argument("--n-step", type=int, dest="n_step")
-    swp.add_argument("--n-list", type=str, dest="n_list")
-    swp.add_argument("--seeds", type=int)
-    swp.add_argument("--norm-restarts", type=int, dest="norm_restarts")
-    swp.add_argument("--norm-max-iter", type=int, dest="norm_max_iter")
-    swp.add_argument("--fit-column", type=str, dest="fit_column")
-
-    ben = top.add_parser("bench", parents=[common], help="kernel timings")
-    ben.add_argument("--nvar", type=int)
-    ben.add_argument("--terms", type=int)
-    ben.add_argument("--batch", type=int)
-    ben.add_argument("--k", type=int)
-    ben.add_argument("--repeats", type=int)
-
+    actions = {}
+    for command, (_handler, options, _defaults) in _COMMANDS.items():
+        group, _, action = command.partition(".")
+        if not action:
+            sub = top.add_parser(group, parents=[common], help=_GROUP_HELP[group])
+        else:
+            if group not in actions:
+                grp = top.add_parser(group, help=_GROUP_HELP[group])
+                actions[group] = grp.add_subparsers(dest="action", required=True)
+            sub = actions[group].add_parser(action, parents=[common])
+        for name, spec in options.items():
+            _add_option(sub, name, spec)
     return parser
 
 
@@ -501,9 +442,6 @@ def main(argv=None) -> int:
 
     try:
         rep, artifact, failed = execute(config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

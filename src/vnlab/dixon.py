@@ -332,22 +332,24 @@ def corrupt_tuple(tup: DixonTuple, seed: int = 0) -> DixonTuple:
 
 
 def verify_report(tup: DixonTuple, *, scale: float | None = None, seed: int = 0) -> dict:
-    """Full certification report for a tuple, as emitted by the CLI."""
+    """The record `vnlab dixon verify` emits, plus the op_norms list of the certificate."""
     if scale is None:
         scale = (1.0 + tup.polynomial.coefficient_sum) ** -0.5
     cert = certify(tup)
     witness = estimate_norm(tup.polynomial, 2, seed=seed).witness
     row = check_row_condition(tup, scale, witness)
     return {
+        "built": True,
         "dimension": tup.basis.dimension,
         "cardinality": tup.system.cardinality,
         "max_commutator": cert.commutator,
-        "op_norms": cert.op_norms,
         "opnorm_max_dev": cert.opnorm_max_dev,
-        "pTe_coefficient": {"re": cert.pte_coefficient.real, "im": cert.pte_coefficient.imag},
+        "pTe_re": cert.pte_coefficient.real,
+        "pTe_im": cert.pte_coefficient.imag,
         "pTe_residual": cert.pte_residual,
         "row_scale": scale,
         "row_condition_value": row.value,
         "block_row_norm": row.block_row_norm,
         "certified": cert.ok,
+        "op_norms": cert.op_norms,
     }

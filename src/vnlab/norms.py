@@ -211,6 +211,14 @@ def _maximize(objective, shape, q, restarts, max_iter, tol, seed, label, extra_s
     return points, float(value), params.shape[0], iterations, int(converged.sum())
 
 
+def _zero_witness(shape, q):
+    """Equal-modulus points of shape (blocks, n), each block with ||v||_q = 1."""
+    z = np.ones(shape, dtype=np.complex128)
+    if not q.is_inf:
+        z /= float(np.linalg.norm(z[0], ord=q.as_float()))
+    return z
+
+
 def estimate_norm(
     p: HomogeneousPolynomial,
     q,
@@ -240,9 +248,7 @@ def estimate_norm(
         method_upper = upper_label
 
     if p.term_count == 0:
-        witness = np.ones(p.n, dtype=np.complex128)
-        if not q.is_inf:
-            witness /= float(np.linalg.norm(witness, ord=q.as_float()))
+        witness = _zero_witness((1, p.n), q)[0]
         return NormEstimate(q, 0.0, 0.0, witness, "ascent", method_upper, 0, 0, 0)
 
     def objective(z, grad):
@@ -280,7 +286,7 @@ def multilinear_estimate(
     q = Exponent.parse(q)
     k, n = p.k, p.n
     if p.term_count == 0:
-        return MultilinearEstimate(q, 0.0, np.ones((k, n), dtype=np.complex128), 0, 0, 0)
+        return MultilinearEstimate(q, 0.0, _zero_witness((k, n), q), 0, 0, 0)
     signs, parity, count = polarization_signs(k)
     scale = 1.0 / count
 

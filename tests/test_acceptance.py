@@ -145,10 +145,8 @@ def test_criterion_04_operator_tuple_identities():
         rep = verify_report(tup, seed=idx)
         assert rep["max_commutator"] <= 1e-12, idx
         assert all(abs(v - 1.0) <= 1e-10 for v in rep["op_norms"]), idx
-        assert rep["pTe_coefficient"] == {
-            "re": float(sys_.cardinality),
-            "im": 0.0,
-        }, idx
+        assert rep["pTe_re"] == float(sys_.cardinality), idx
+        assert rep["pTe_im"] == 0.0, idx
         assert rep["pTe_residual"] <= 1e-9, idx
         assert rep["row_condition_value"] <= 1.0 + 1e-9, idx
     elapsed = time.time() - t0

@@ -286,7 +286,8 @@ def test_verify_report_contents():
     assert rep["cardinality"] == 7
     assert rep["max_commutator"] == 0.0
     assert all(v == pytest.approx(1.0, abs=1e-10) for v in rep["op_norms"])
-    assert rep["pTe_coefficient"] == {"re": 7.0, "im": 0.0}
+    assert rep["pTe_re"] == 7.0
+    assert rep["pTe_im"] == 0.0
     assert rep["pTe_residual"] == 0.0
     assert rep["row_scale"] == pytest.approx((1 + 7) ** -0.5, rel=1e-14)
     assert rep["row_condition_value"] <= 1 + 1e-9

@@ -185,6 +185,15 @@ def test_multilinear_zero_polynomial():
     assert mul.value == 0.0
 
 
+@pytest.mark.parametrize("q, qf", [("2", 2.0), ("3/2", 1.5), ("inf", math.inf)])
+def test_multilinear_zero_polynomial_vectors_are_unit(q, qf):
+    zero = HomogeneousPolynomial(n=3, k=3, coeffs={})
+    mul = multilinear_estimate(zero, q, restarts=2, seed=0)
+    assert mul.vectors.shape == (3, 3)
+    for v in mul.vectors:
+        assert abs(np.linalg.norm(v, ord=qf) - 1.0) <= 1e-12
+
+
 # ------------------------------------------------------------ constants layer
 
 

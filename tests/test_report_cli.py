@@ -1,5 +1,6 @@
 """Report serialization guarantees and end-to-end command-line behavior."""
 
+import inspect
 import json
 import math
 import shlex
@@ -10,7 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vnlab.cli import EXIT_CERTIFICATION, EXIT_CONFIG, EXIT_IO, EXIT_OK, _build_parser, main
+from vnlab.bounds import scaling_sweep
+from vnlab.cli import (
+    EXIT_CERTIFICATION,
+    EXIT_CONFIG,
+    EXIT_IO,
+    EXIT_OK,
+    ConfigError,
+    _build_parser,
+    execute,
+    main,
+)
+from vnlab.norms import estimate_norm
 from vnlab.polynomials import HomogeneousPolynomial
 from vnlab.report import (
     ExperimentReport,
@@ -318,3 +330,52 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli("norm", "--poly", str(poly_path), "--q", "zero") == EXIT_CONFIG
     # argparse-level failure (unknown subcommand)
     assert run_cli("frobnicate") == EXIT_CONFIG
+
+
+def test_execute_rejects_unknown_config_key(tmp_path, capsys):
+    cfg = {
+        "command": "bounds.sweep", "kind": "C", "q": "inf", "k": 3,
+        "n_list": "7", "seeds": 1, "norm_restart": 4,
+    }
+    with pytest.raises(ConfigError, match="norm_restart"):
+        execute(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"version": 1, **cfg}))
+    assert run_cli("bounds", "sweep", "--config", str(path)) == EXIT_CONFIG
+    assert "norm_restart" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["threads", "row_trials", "row_restarts", "row_iters"])
+def test_execute_accepts_retired_keys(key):
+    rep, _, failed = execute({
+        "command": "bounds.sweep", "kind": "C", "q": "inf", "k": 3,
+        "n_list": "7", "seeds": 1, "norm_restarts": 2, "norm_max_iter": 20, key: 2,
+    })
+    assert not failed
+    assert len(rep.records) == 1
+    assert rep.config[key] == 2
+
+
+def test_cli_defaults_come_from_callee_signatures(tmp_path, capsys):
+    sys_path = tmp_path / "sys.txt"
+    poly_path = tmp_path / "p.json"
+    run_cli("steiner", "gen", "--n", "7", "--k", "3", "--t", "2", "--out", str(sys_path))
+    run_cli("poly", "rand", "--system", str(sys_path), "--out", str(poly_path))
+    capsys.readouterr()
+
+    def signature_default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    assert run_cli("norm", "--poly", str(poly_path), "--q", "inf") == EXIT_OK
+    config = json.loads(capsys.readouterr().out)["config"]
+    for name in ("restarts", "max_iter", "tol", "seed"):
+        assert config[name] == signature_default(estimate_norm, name), name
+
+    rc = run_cli(
+        "bounds", "sweep", "--kind", "C", "--q", "inf", "--k", "3",
+        "--n-list", "7", "--seeds", "1",
+    )
+    assert rc == EXIT_OK
+    config = json.loads(capsys.readouterr().out)["config"]
+    for name in ("norm_restarts", "norm_max_iter", "fit_column"):
+        assert config[name] == signature_default(scaling_sweep, name), name
