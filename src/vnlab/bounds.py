@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dixon import build_tuple, certify, check_row_condition, polynomial_operator
+from .dixon import build_tuple, certify, check_row_condition
 from .norms import (
     estimate_norm,
     flattening_upper_bound,
@@ -238,16 +238,11 @@ def _certified_tuple(system, p):
     cert = certify(tup)
     if not cert.ok:
         raise CertificationError(
-            f"certificate failed: commutator entry {cert.commutator}, operator norm "
-            f"deviation {cert.opnorm_max_dev}, p(T)e = {cert.pte_coefficient} g + residual "
-            f"{cert.pte_residual}, expected {system.cardinality} g exactly"
+            f"certificate failed: graded {cert.graded}, commutator entry {cert.commutator}, "
+            f"operator norm deviation {cert.opnorm_max_dev}, p(T)e = {cert.pte_coefficient} g "
+            f"+ residual {cert.pte_residual}, expected {system.cardinality} g exactly"
         )
     return tup, cert
-
-
-def _direct_norm(p, tup) -> float:
-    """||p(T)|| by a dense SVD, exact for the rank-one p(T) = |J| g e^*."""
-    return float(np.linalg.norm(polynomial_operator(p, tup).toarray(), 2))
 
 
 def _pipeline_inputs(k: int, n: int, seed: int):
@@ -276,10 +271,11 @@ def lower_bound_D(
     """One cell of the D pipeline at q = 2.
 
     The headline column is bound = (1 + U)^{-k/2} |J| / U with U the best
-    certified Euclidean upper bound; direct_value replaces |J| by the
-    measured ||p(T)||, so direct_value >= bound always.  cond_ok records
-    whether the row value at the tight scale stays below 1; when it does
-    not, bound_cond_adjusted rescales the tuple by that value.
+    certified Euclidean upper bound; direct_value replaces |J| by
+    ||p(T)|| = |c| for the certified p(T) e = c g (p(T) = c g e^* on the
+    graded tuple), so direct_value == bound on every certified cell.
+    cond_ok records whether the row value at the tight scale stays below 1;
+    when it does not, bound_cond_adjusted rescales the tuple by that value.
     """
     system, p = _pipeline_inputs(k, n, seed)
     card = system.cardinality
@@ -302,7 +298,7 @@ def lower_bound_D(
     bound = scale**k * card / upper
     bound_adj = scale_adj**k * card / upper
     bound_est = scale**k * card / est.lower if est.lower > 0 else math.inf
-    direct_norm = _direct_norm(p, tup)
+    direct_norm = abs(cert.pte_coefficient)
     refs = reference_exponents(k, 2)
     return BoundRecord(
         kind="D",
@@ -375,8 +371,8 @@ def lower_bound_C(
             denom_cert = interpolation_upper_low(q, l1_ball_upper_bound(p), u2, k)
     bound_cert = scale**k * card / denom_cert if denom_cert > 0 else math.inf
     bound_est = scale**k * card / est.lower if est.lower > 0 else math.inf
-    # p(T) = |J| g e^* has norm |J|; the D pipeline measures it instead
-    direct_norm = float(card)
+    # p(T) = c g e^* on the certified tuple, so ||p(T)|| = |c| = |J|
+    direct_norm = abs(cert.pte_coefficient)
     refs = reference_exponents(k, q)
     ref_lower = refs.improved_lower if refs.improved_lower is not None else refs.classical_lower
     return BoundRecord(

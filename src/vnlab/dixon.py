@@ -2,10 +2,13 @@
 
 Given a partial Steiner system with uniqueness level t = k - 1 and a sign
 c_J = +-1 per block, the construction produces n commuting operators
-T_1, ..., T_n on a layered finite-dimensional space such that the support
-polynomial p applied to the tuple satisfies p(T) e = |J| g exactly, where
-|J| is the number of blocks.  Matrices are stored column-compressed since
-every column has at most one nonzero entry.
+T_1, ..., T_n on the layered space e -> t_1 -> ... -> t_{k-2} -> f -> g,
+each mapping every layer into the next, such that the support polynomial
+p applied to the tuple is p(T) = |J| g e^*, where |J| is the number of
+blocks.  Matrices are stored column-compressed since every column has at
+most one nonzero entry.  The certificates read the structure: integer
+commutators from one stacked product, ||T_l|| from row norms, and ||p(T)||
+as the g-coefficient of p(T) e once the grading is checked.
 """
 
 from __future__ import annotations
@@ -23,11 +26,16 @@ from .steiner import PartialSteinerSystem, validate
 from .util import stream
 
 
+def _layer_sizes(n: int, k: int) -> list:
+    """Sizes of the layers e, t_1, ..., t_{k-2}, f, g (t_m holds the m-multisets)."""
+    return [1] + [math.comb(n + m - 1, m) for m in range(1, k - 1)] + [n, 1]
+
+
 def dixon_dimension(n: int, k: int) -> int:
     """Dimension 2 + n + sum_{m=1}^{k-2} binom(n+m-1, m) of the layered space."""
     if k < 3 or n < k:
         raise ValueError(f"need n >= k >= 3, got n={n} k={k}")
-    return 2 + n + sum(math.comb(n + m - 1, m) for m in range(1, k - 1))
+    return sum(_layer_sizes(n, k))
 
 
 @dataclass(frozen=True)
@@ -75,7 +83,11 @@ class DixonTuple:
 
 
 def build_tuple(system: PartialSteinerSystem, p: HomogeneousPolynomial) -> DixonTuple:
-    """Assemble the n operators for a signed block family.
+    """Assemble the n operators for a signed block family, layer by layer.
+
+    T_l shifts each layer into the next: e -> t(l); t(v) -> t(v + l) between
+    the multiset layers, the same for every p; t(B - {x, l}) -> c_B f_x for
+    each block B containing l and each other point x of B; and f_l -> g.
 
     Requires a valid system with t = k - 1 whose blocks carry real signs +-1
     (exactly the support of p), and additionally pairwise-unique blocks: for
@@ -108,43 +120,26 @@ def build_tuple(system: PartialSteinerSystem, p: HomogeneousPolynomial) -> Dixon
             raise ValueError(f"coefficient at {key} must be +1 or -1, got {c}")
 
     basis = build_basis(n, k)
-    # completion map: (k-1)-subset -> (missing point, sign of the unique block)
-    completion = {}
+    index = basis.index
+    dim = basis.dimension
+
+    def t(v):
+        return index[("t", tuple(sorted(v)))]
+
+    # (row, col, value) entries of T_l, starting with e -> t(l)
+    entries = {l: [(t((l,)), index[("e",)], 1.0)] for l in range(1, n + 1)}
+    for m in range(1, k - 2):
+        for v in itertools.combinations_with_replacement(range(1, n + 1), m):
+            for l in entries:
+                entries[l].append((t(v + (l,)), index[("t", v)], 1.0))
     for block in system.blocks:
         c = p.coeffs[block].real
-        for x in block:
-            completion[frozenset(block) - {x}] = (x, c)
-
-    e_pos = basis.index[("e",)]
-    g_pos = basis.index[("g",)]
-    dim = basis.dimension
+        for x, l in itertools.permutations(block, 2):
+            entries[l].append((index[("f", x)], t(set(block) - {x, l}), c))
     ops = []
-    for l in range(1, n + 1):
-        rows, cols, data = [], [], []
-        rows.append(basis.index[("t", (l,))])
-        cols.append(e_pos)
-        data.append(1.0)
-        for lab in basis.labels:
-            if lab[0] != "t":
-                continue
-            v = lab[1]
-            if len(v) < k - 2:
-                rows.append(basis.index[("t", tuple(sorted(v + (l,))))])
-                cols.append(basis.index[lab])
-                data.append(1.0)
-            else:
-                partial = frozenset(v) | {l}
-                if len(partial) != k - 1:
-                    continue
-                hit = completion.get(partial)
-                if hit is not None:
-                    i, c = hit
-                    rows.append(basis.index[("f", i)])
-                    cols.append(basis.index[lab])
-                    data.append(c)
-        rows.append(g_pos)
-        cols.append(basis.index[("f", l)])
-        data.append(1.0)
+    for l, ent in entries.items():
+        ent.append((index[("g",)], index[("f", l)], 1.0))
+        rows, cols, data = zip(*ent)
         ops.append(
             sp.coo_matrix((data, (rows, cols)), shape=(dim, dim), dtype=np.complex128).tocsc()
         )
@@ -152,21 +147,22 @@ def build_tuple(system: PartialSteinerSystem, p: HomogeneousPolynomial) -> Dixon
 
 
 def check_commuting(tup: DixonTuple) -> float:
-    """Largest entry modulus of T_a T_b - T_b T_a over all pairs a < b.
+    """Largest entry modulus of T_a T_b - T_b T_a over all pairs a, b.
 
-    The operators have entries in {0, +1, -1}, so every commutator entry is
-    an exact integer: the tuple commutes iff each difference is structurally
-    zero, and a failing pair reports a modulus >= 1, which is also a lower
-    bound on the commutator's operator norm.
+    Block (a, b) of the one product [T_1; ...; T_n] [T_1 ... T_n] is T_a T_b;
+    moving each entry to the same place in block (b, a) gives the block-swapped
+    product, and the difference holds every commutator.  The operators have
+    entries in {0, +1, -1}, so every commutator entry is an exact integer: the
+    tuple commutes iff each difference is zero, and a failing pair reports a
+    modulus >= 1, which is also a lower bound on the commutator's operator norm.
     """
-    worst = 0.0
-    for a, b in itertools.combinations(tup.ops, 2):
-        d = (a @ b - b @ a).tocsr()
-        d.eliminate_zeros()
-        if d.nnz == 0:
-            continue
-        worst = max(worst, float(np.abs(d.data).max()))
-    return worst
+    dim = tup.basis.dimension
+    prod = sp.vstack(tup.ops) @ sp.hstack(tup.ops, format="csc")
+    c = prod.tocoo()
+    row = c.col // dim * dim + c.row % dim
+    col = c.row // dim * dim + c.col % dim
+    swapped = sp.coo_matrix((c.data, (row, col)), shape=c.shape)
+    return float(np.abs((prod - swapped).data).max(initial=0.0))
 
 
 def _row_norms_squared(t) -> np.ndarray:
@@ -194,18 +190,6 @@ def apply_polynomial(p: HomogeneousPolynomial, tup: DixonTuple, v: np.ndarray) -
     return acc
 
 
-def polynomial_operator(p: HomogeneousPolynomial, tup: DixonTuple):
-    """The full matrix p(T); only assembled when its norm is actually wanted."""
-    dim = tup.basis.dimension
-    acc = sp.csc_matrix((dim, dim), dtype=np.complex128)
-    for key, c in p.coeffs.items():
-        prod = tup.ops[key[0] - 1]
-        for j in key[1:]:
-            prod = prod @ tup.ops[j - 1]
-        acc = acc + c * prod
-    return acc
-
-
 def pte_coefficient(tup: DixonTuple):
     """Coefficient of g in p(T) e and the norm of the off-g residual."""
     dim = tup.basis.dimension
@@ -216,6 +200,15 @@ def pte_coefficient(tup: DixonTuple):
     coeff = complex(w[g_pos])
     w[g_pos] = 0.0
     return coeff, float(np.linalg.norm(w))
+
+
+def check_grading(tup: DixonTuple) -> bool:
+    """Whether every nonzero of every T_l maps a layer-m basis vector into layer m + 1."""
+    layer = np.repeat(np.arange(tup.k + 1), _layer_sizes(tup.n, tup.k))
+    stacked = sp.vstack(tup.ops).tocoo()  # T_l in rows l * dim, ..., (l + 1) * dim - 1
+    nz = stacked.data != 0
+    rows = stacked.row[nz] % tup.basis.dimension
+    return bool(np.all(layer[rows] == layer[stacked.col[nz]] + 1))
 
 
 # One home for the certificate tolerances: commutator entries, the
@@ -229,29 +222,36 @@ ROW_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Certificate:
-    """The exact certificates of a tuple, judged against the tolerances above."""
+    """The exact certificates of a tuple, judged against the tolerances above.
+
+    When graded, the degree-k p(T) maps e to the line of g and every other
+    layer past g, so p(T) = c g e^* and ||p(T)|| = |c| for c = pte_coefficient.
+    """
 
     commutator: float
     op_norms: list
     opnorm_max_dev: float
     pte_coefficient: complex
     pte_residual: float
+    graded: bool
     ok: bool
 
 
 def certify(tup: DixonTuple) -> Certificate:
-    """Check commutation, unit operator norms and p(T) e = |J| g."""
+    """Check grading, commutation, unit operator norms and p(T) e = |J| g."""
     comm = check_commuting(tup)
     norms = operator_norms(tup)
     dev = max(abs(x - 1.0) for x in norms)
     coeff, residual = pte_coefficient(tup)
+    graded = check_grading(tup)
     ok = (
-        comm <= COMMUTATOR_TOL
+        graded
+        and comm <= COMMUTATOR_TOL
         and dev <= OPNORM_TOL
         and residual <= ACTION_TOL
         and abs(coeff - tup.system.cardinality) <= ACTION_TOL
     )
-    return Certificate(comm, norms, dev, coeff, residual, ok)
+    return Certificate(comm, norms, dev, coeff, residual, graded, ok)
 
 
 @dataclass(frozen=True)
@@ -282,9 +282,8 @@ def _combination_norm(tup: DixonTuple, alpha) -> float:
     into the next and the layers are mutually orthogonal, so its norm is
     the largest block norm; each block is small enough for a dense SVD.
     """
-    n, k = tup.n, tup.k
     a = sum(x * t for x, t in zip(alpha, tup.ops)).toarray()
-    sizes = [1] + [math.comb(n + m - 1, m) for m in range(1, k - 1)] + [n, 1]
+    sizes = _layer_sizes(tup.n, tup.k)
     edges = np.cumsum([0] + sizes)
     return max(
         float(np.linalg.norm(a[edges[m + 1] : edges[m + 2], edges[m] : edges[m + 1]], 2))

@@ -134,10 +134,8 @@ def test_lower_bound_D_record_is_internally_consistent():
     # the estimate-denominator column dominates the certified one
     assert rec.bound_estimate >= rec.bound - 1e-12
     # direct operator norm of p(T) is exactly the cardinality (rank one)
-    assert rec.direct_norm == pytest.approx(rec.cardinality, rel=1e-9)
-    assert rec.direct_value == pytest.approx(
-        rec.scale ** 3 * rec.direct_norm / rec.norm_upper, rel=1e-9
-    )
+    assert rec.direct_norm == rec.cardinality
+    assert rec.direct_value == rec.scale ** 3 * rec.direct_norm / rec.norm_upper
     # certified upper really is an upper bound for the ascent lower value
     assert rec.norm_lower <= rec.norm_upper + 1e-9
     assert rec.norm_upper <= min(rec.upper_flattening, rec.upper_coefficient_sum) + 1e-12
@@ -155,10 +153,19 @@ def test_lower_bound_D_record_is_internally_consistent():
 
 def test_lower_bound_D_direct_norm_is_exact():
     # p(T) = |J| g e^* has norm exactly |J|, so direct_value and bound are
-    # the same expression and compare with no tolerance (criterion-07 cell)
-    rec = lower_bound_D(3, 8, _cell_seed(20260826, 8, 0))
-    assert rec.direct_norm == rec.cardinality
-    assert rec.direct_value >= rec.bound
+    # the same expression and compare with no tolerance (criterion-07 cell
+    # at k = 3, and a k = 4 cell)
+    for k, n, seed in [(3, 8, _cell_seed(20260826, 8, 0)), (4, 9, 3)]:
+        rec = lower_bound_D(k, n, seed)
+        assert rec.direct_norm == rec.cardinality
+        assert rec.direct_value == rec.bound
+
+
+def test_lower_bound_C_direct_norm_is_exact():
+    for q in ("inf", 2):
+        rec = lower_bound_C(3, q, 9, seed=2)
+        assert rec.direct_norm == rec.cardinality
+        assert rec.direct_value == rec.bound
 
 
 def test_lower_bound_D_deterministic():

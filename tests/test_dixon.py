@@ -1,9 +1,11 @@
 """Layered operator tuples: structure, contractivity, commutation, row condition."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from vnlab.dixon import (
     DixonTuple,
@@ -15,7 +17,6 @@ from vnlab.dixon import (
     corrupt_tuple,
     dixon_dimension,
     operator_norms,
-    polynomial_operator,
     pte_coefficient,
     verify_report,
 )
@@ -107,15 +108,22 @@ def test_monomial_count_identity():
 
 
 def test_polynomial_operator_is_rank_one():
-    tup = make_tuple(7, 3, 4)
-    m = polynomial_operator(tup.polynomial, tup).toarray()
-    # the only nonzero entry is (g, e) = cardinality
-    g = tup.basis.index[("g",)]
-    e = tup.basis.index[("e",)]
-    want = np.zeros_like(m)
-    want[g, e] = tup.system.cardinality
-    np.testing.assert_array_equal(m, want)
-    assert np.linalg.norm(m, 2) == pytest.approx(tup.system.cardinality, rel=1e-12)
+    # the dense p(T), summed monomial by monomial, is |c| g e^* for the
+    # certified coefficient c, which is why direct_norm reads |c| off p(T)e
+    for n, k, seed in [(7, 3, 4), (9, 3, 1), (8, 4, 2)]:
+        tup = make_tuple(n, k, seed)
+        m = np.zeros((tup.basis.dimension,) * 2, dtype=complex)
+        for key, c in tup.polynomial.coeffs.items():
+            prod = np.eye(tup.basis.dimension, dtype=complex)
+            for j in key:
+                prod = prod @ tup.ops[j - 1].toarray()
+            m += c * prod
+        cert = certify(tup)
+        assert cert.graded and cert.ok
+        want = np.zeros_like(m)
+        want[tup.basis.index[("g",)], tup.basis.index[("e",)]] = abs(cert.pte_coefficient)
+        np.testing.assert_array_equal(m, want)
+        assert abs(cert.pte_coefficient) == tup.system.cardinality
 
 
 # -------------------------------------------------------------- contractivity
@@ -126,6 +134,26 @@ def test_operators_are_exact_contractions(n, k, seed):
     tup = make_tuple(n, k, seed)
     for v in operator_norms(tup):
         assert v == pytest.approx(1.0, abs=1e-10)
+
+
+def _pairwise_commutator(tup):
+    # reference: one product pair at a time
+    worst = 0.0
+    for a, b in itertools.combinations(tup.ops, 2):
+        d = (a @ b - b @ a).tocsr()
+        d.eliminate_zeros()
+        if d.nnz:
+            worst = max(worst, float(np.abs(d.data).max()))
+    return worst
+
+
+@pytest.mark.parametrize("n,k,seed", [(7, 3, 0), (12, 3, 2), (8, 4, 2), (10, 4, 1), (7, 5, 0)])
+def test_check_commuting_matches_pairwise_products(n, k, seed):
+    tup = make_tuple(n, k, seed)
+    assert check_commuting(tup) == _pairwise_commutator(tup) == 0.0
+    for corrupt_seed in range(3):
+        bad = corrupt_tuple(tup, seed=corrupt_seed)
+        assert check_commuting(bad) == _pairwise_commutator(bad) >= 1.0
 
 
 def test_commutators_vanish_exactly():
@@ -157,6 +185,66 @@ def test_operator_norms_match_dense_svd(n, k, seed):
     assert got == pytest.approx(want, rel=1e-12)
     assert got == [1.0] * n
     assert certify(tup).opnorm_max_dev == 0.0
+
+
+def _label_scan_ops(tup):
+    # reference: every basis label once per operator, with a completion map
+    # from (k-1)-subsets to the missing point and the block's sign
+    basis, k = tup.basis, tup.k
+    completion = {}
+    for block in tup.system.blocks:
+        for x in block:
+            completion[frozenset(block) - {x}] = (x, tup.polynomial.coeffs[block].real)
+    ops = []
+    for l in range(1, tup.n + 1):
+        rows, cols, data = [basis.index[("t", (l,))]], [basis.index[("e",)]], [1.0]
+        for lab in basis.labels:
+            if lab[0] != "t":
+                continue
+            v = lab[1]
+            if len(v) < k - 2:
+                rows.append(basis.index[("t", tuple(sorted(v + (l,))))])
+                cols.append(basis.index[lab])
+                data.append(1.0)
+            elif len(frozenset(v) | {l}) == k - 1 and frozenset(v) | {l} in completion:
+                i, c = completion[frozenset(v) | {l}]
+                rows.append(basis.index[("f", i)])
+                cols.append(basis.index[lab])
+                data.append(c)
+        rows.append(basis.index[("g",)])
+        cols.append(basis.index[("f", l)])
+        data.append(1.0)
+        shape = (basis.dimension,) * 2
+        ops.append(sp.coo_matrix((data, (rows, cols)), shape=shape, dtype=complex).tocsc())
+    return ops
+
+
+@pytest.mark.parametrize("n,k,seed", [(7, 3, 0), (13, 3, 3), (8, 4, 2), (11, 4, 0), (9, 5, 3)])
+def test_build_tuple_matches_label_scan(n, k, seed):
+    tup = make_tuple(n, k, seed)
+    for got, want in zip(tup.ops, _label_scan_ops(tup), strict=True):
+        got, want = got.copy(), want.copy()
+        got.sort_indices()
+        want.sort_indices()
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_array_equal(got.data, want.data)
+
+
+@pytest.mark.parametrize("n,k,seed", [(7, 3, 0), (8, 4, 2)])
+def test_certify_rejects_ungraded_tuple(n, k, seed):
+    # move the e -> t(1) entry of T_1 to e -> f_1, past the t-layers
+    tup = make_tuple(n, k, seed)
+    t1 = tup.ops[0].tocoo()
+    hit = np.flatnonzero(t1.col == tup.basis.index[("e",)])
+    assert hit.size == 1
+    t1.row[hit] = tup.basis.index[("f", 1)]
+    bad = DixonTuple(tup.system, tup.polynomial, tup.basis, (t1.tocsc(),) + tup.ops[1:])
+    cert = certify(bad)
+    assert certify(tup).graded
+    assert not cert.graded
+    assert not cert.ok
 
 
 def test_build_rejects_bad_inputs():
