@@ -7,13 +7,11 @@ Each pipeline builds a random signed block family, certifies the operator
 tuple, and emits one flat record combining measured values, certificates,
 and reference growth exponents.
 
-The D pipeline records the row condition honestly rather than assuming it:
-the sup over unit alpha of || sum_j alpha_j s T_j || at the tight scale
-s = (1 + upper)^{-1/2} is evaluated at the ascent witness and the uniform
-vector (at k = 3 the witness value is max(1, 6 |p(w)|) by polarization),
-the headline bound column keeps the (1 + upper)^{-k/2} |J| / upper form,
-and a second column rescales by that value so that the adjusted tuple
-satisfies the constraint at both vectors.
+The D record carries two bound columns.  bound keeps the
+(1 + U)^{-k/2} |J| / U form, which assumes a row condition that is not
+checked.  bound_certified divides ||p(W T)|| = prod_m w_m |J| by U for the
+tuple reweighted by its certified layer weights (dixon.Certificate), which
+satisfies the row condition by proof.
 """
 
 from __future__ import annotations
@@ -24,13 +22,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dixon import build_tuple, certify, check_row_condition
+from .dixon import build_tuple, certify
 from .norms import (
     estimate_norm,
     flattening_upper_bound,
     interpolation_upper,
     interpolation_upper_low,
-    lambda_constant,
 )
 from .polynomials import l1_ball_upper_bound, random_steiner_polynomial
 from .steiner import greedy_generate
@@ -149,56 +146,6 @@ def reference_exponents(k: int, q) -> ReferenceExponents:
 
 
 @dataclass(frozen=True)
-class AkqReference:
-    """Interpolated comparison constant for 2 < q < inf.
-
-    value uses the lambda(k, inf) form with exponent (k+1)^{(k+1)/2}; the
-    printed variant replaces it by (k+1)^{(k+1)/k} (both are reported since
-    the source displays disagree; the half-exponent form is the one implied
-    by the lambda(k, inf) constant it interpolates through).
-    """
-
-    k: int
-    q: Exponent
-    value: float
-    value_printed_variant: float
-
-    def to_record(self) -> dict:
-        return {
-            "k": self.k,
-            "q": str(self.q),
-            "value": self.value,
-            "value_printed_variant": self.value_printed_variant,
-        }
-
-
-def a_kq_reference(
-    k: int, q, m_const: float = 1.0, k_const: float = 1.0, d_const: float = 1.0
-) -> AkqReference:
-    if k < 3:
-        raise ValueError(f"need k >= 3, got k={k}")
-    q = Exponent.parse(q)
-    if q.is_inf or q.fraction <= 2:
-        raise ValueError(f"reference constant requires 2 < q < inf, got q={q}")
-    if min(m_const, k_const, d_const) < 0:
-        raise ValueError("scale constants must be nonnegative")
-    qf = q.as_float()
-    front = max(m_const, k_const, d_const)
-    base_half = lambda_constant(k, Exponent.infinity()) * math.sqrt(
-        math.log(k) / math.factorial(k)
-    )
-    base_printed = base_half * (k + 1) ** ((k + 1) / k - (k + 1) / 2)
-    expo = (qf - 2.0) / qf
-    tail = k ** (2.0 / qf)
-    return AkqReference(
-        k=k,
-        q=q,
-        value=front * base_half**expo * tail,
-        value_printed_variant=front * base_printed**expo * tail,
-    )
-
-
-@dataclass(frozen=True)
 class BoundRecord:
     """One pipeline cell: construction data, certificates, and bound values."""
 
@@ -217,11 +164,8 @@ class BoundRecord:
     opnorm_max_dev: float
     pte_value: float
     pte_residual: float
-    row_sup: float
-    row_value: float
-    cond_ok: bool
     bound: float
-    bound_cond_adjusted: float
+    bound_certified: float
     bound_estimate: float
     direct_norm: float
     direct_value: float
@@ -271,11 +215,14 @@ def lower_bound_D(
     """One cell of the D pipeline at q = 2.
 
     The headline column is bound = (1 + U)^{-k/2} |J| / U with U the best
-    certified Euclidean upper bound; direct_value replaces |J| by
+    certified Euclidean upper bound; it assumes the row condition for the
+    scaled tuple, which is not checked.  direct_value replaces |J| by
     ||p(T)|| = |c| for the certified p(T) e = c g (p(T) = c g e^* on the
     graded tuple), so direct_value == bound on every certified cell.
-    cond_ok records whether the row value at the tight scale stays below 1;
-    when it does not, bound_cond_adjusted rescales the tuple by that value.
+    bound_certified = prod_m w_m ||p(T)|| / U uses the certificate's layer
+    weights w_m instead of the scale: the reweighted tuple commutes and is a
+    row contraction by proof, and p(W T) = prod_m w_m p(T).  At k = 3,
+    prod_m w_m = 1 / (6 * flattening); at k = 4 it is 1/2.
     """
     system, p = _pipeline_inputs(k, n, seed)
     card = system.cardinality
@@ -290,13 +237,9 @@ def lower_bound_D(
         upper_label="flattening",
     )
     upper = est.upper
-    tup, cert = _certified_tuple(system, p)
+    _, cert = _certified_tuple(system, p)
     scale = (1.0 + upper) ** -0.5
-    row = check_row_condition(tup, scale, est.witness)
-    cond_ok = row.satisfied()
-    scale_adj = scale if cond_ok else scale / row.value
     bound = scale**k * card / upper
-    bound_adj = scale_adj**k * card / upper
     bound_est = scale**k * card / est.lower if est.lower > 0 else math.inf
     direct_norm = abs(cert.pte_coefficient)
     refs = reference_exponents(k, 2)
@@ -316,11 +259,8 @@ def lower_bound_D(
         opnorm_max_dev=cert.opnorm_max_dev,
         pte_value=cert.pte_coefficient.real,
         pte_residual=cert.pte_residual,
-        row_sup=row.value / scale,
-        row_value=row.value,
-        cond_ok=cond_ok,
         bound=bound,
-        bound_cond_adjusted=bound_adj,
+        bound_certified=cert.weight_product * direct_norm / upper,
         bound_estimate=bound_est,
         direct_norm=direct_norm,
         direct_value=scale**k * direct_norm / upper,
@@ -391,11 +331,8 @@ def lower_bound_C(
         opnorm_max_dev=cert.opnorm_max_dev,
         pte_value=cert.pte_coefficient.real,
         pte_residual=cert.pte_residual,
-        row_sup=0.0,
-        row_value=0.0,
-        cond_ok=True,
         bound=bound_cert,
-        bound_cond_adjusted=bound_cert,
+        bound_certified=bound_cert,
         bound_estimate=bound_est,
         direct_norm=direct_norm,
         direct_value=scale**k * direct_norm / denom_cert if denom_cert > 0 else math.inf,
@@ -454,13 +391,14 @@ def scaling_sweep(
 ) -> SweepResult:
     """Run a pipeline over a grid of n with several seeds per n and fit growth.
 
-    The fitted column defaults to the certified-denominator bound for D and
-    to the estimate-denominator bound for C (no nontrivial certified upper
-    exists at q = inf, so the certified column is flat by construction
-    there).  A cell that raises, for instance because a hard certificate
-    fails, is excluded and reported in warnings with its exception type;
-    the per-n median uses the surviving cells.  norm_restarts and
-    norm_max_iter go to the norm ascent of every cell.
+    The fitted column defaults to bound for D (fit bound_certified for the
+    column whose row condition is certified) and to the
+    estimate-denominator bound for C (no nontrivial certified upper exists
+    at q = inf, so the certified column is flat by construction there).
+    A cell that raises, for instance because a hard certificate fails, is
+    excluded and reported in warnings with its exception type; the per-n
+    median uses the surviving cells.  norm_restarts and norm_max_iter go to
+    the norm ascent of every cell.
     """
     kind = kind.upper()
     if kind not in ("C", "D"):

@@ -6,7 +6,7 @@ dixon verify | rademacher check | bounds sweep | bench.  Global flags:
 A JSON config file supplies values keyed by option name in underscore
 form (--max-iter is max_iter), and CLI flags override file values.  A key
 that is not an option of the command exits 1, except the retired keys
-threads, row_trials, row_restarts and row_iters, which are ignored.
+threads, row_trials, row_restarts, row_iters and scale, which are ignored.
 
 Exit codes: 0 success, 1 invalid configuration, 2 validation or
 certification failure, 3 I/O error.
@@ -34,7 +34,7 @@ EXIT_CERTIFICATION = 2
 EXIT_IO = 3
 
 # config keys of removed options, accepted and ignored so older configs still run
-_RETIRED_KEYS = frozenset({"threads", "row_trials", "row_restarts", "row_iters"})
+_RETIRED_KEYS = frozenset({"threads", "row_trials", "row_restarts", "row_iters", "scale"})
 
 
 class ConfigError(ValueError):
@@ -168,8 +168,8 @@ def _handle_dixon_verify(cfg):
     except ValueError as exc:
         record = {"built": False, "certified": False, "error": str(exc)}
         return _report(cfg, [record], text), None, True
-    record = dixon.verify_report(tup, scale=cfg["scale"], seed=cfg["seed"])
-    summary = {"op_norms": record.pop("op_norms")}
+    record = dixon.verify_report(tup)
+    summary = {"op_norms": record.pop("op_norms"), "layer_weights": record.pop("layer_weights")}
     return _report(cfg, [record], text, summary=summary), None, not record["certified"]
 
 
@@ -282,11 +282,7 @@ _COMMANDS = {
             "flattening": True,
         },
     ),
-    "dixon.verify": (
-        _handle_dixon_verify,
-        {"poly": str, "scale": float},
-        _signature_defaults(dixon.verify_report, "scale", "seed"),
-    ),
+    "dixon.verify": (_handle_dixon_verify, {"poly": str}, {"seed": 0}),
     "rademacher.check": (
         _handle_rademacher_check,
         {

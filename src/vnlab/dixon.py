@@ -5,10 +5,12 @@ c_J = +-1 per block, the construction produces n commuting operators
 T_1, ..., T_n on the layered space e -> t_1 -> ... -> t_{k-2} -> f -> g,
 each mapping every layer into the next, such that the support polynomial
 p applied to the tuple is p(T) = |J| g e^*, where |J| is the number of
-blocks.  Matrices are stored column-compressed since every column has at
-most one nonzero entry.  The certificates read the structure: integer
-commutators from one stacked product, ||T_l|| from row norms, and ||p(T)||
-as the g-coefficient of p(T) e once the grading is checked.
+blocks.  Every T_l is a signed partial permutation (at most one entry +-1
+in each row and each column), stored column-compressed.  The certificates
+read that structure: integer commutators from one stacked product, and
+from one pass over the stacked entries the grading, ||T_l||, p(T) e by
+index gathers (so ||p(T)|| is its g-coefficient), and one weight per layer
+that makes the reweighted tuple a row contraction, with no norm probe.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .norms import estimate_norm
 from .polynomials import HomogeneousPolynomial
 from .steiner import PartialSteinerSystem, validate
 from .util import stream
@@ -165,59 +166,84 @@ def check_commuting(tup: DixonTuple) -> float:
     return float(np.abs((prod - swapped).data).max(initial=0.0))
 
 
-def _row_norms_squared(t) -> np.ndarray:
-    """Diagonal of T T^*, which is T T^* itself when no column has two nonzeros."""
-    t = t.tocsc()
-    if np.diff(t.indptr).max(initial=0) > 1:
+def _stacked_entries(tup: DixonTuple):
+    """(operator, row, col, value) of every nonzero of T_1, ..., T_n, read in one COO pass."""
+    stacked = sp.vstack(tup.ops).tocoo()  # T_l in rows l * dim, ..., (l + 1) * dim - 1
+    nz = stacked.data != 0
+    op, row = np.divmod(stacked.row[nz], tup.basis.dimension)
+    return op, row, stacked.col[nz], stacked.data[nz]
+
+
+def operator_norms(tup: DixonTuple, entries=None) -> list:
+    """||T_l|| as the largest row 2-norm of T_l.
+
+    Exact when no column of T_l has two nonzeros, since T_l T_l^* is then
+    diagonal; certify checks that (and pte_coefficient refuses otherwise).
+    """
+    op, row, _, val = _stacked_entries(tup) if entries is None else entries
+    n, dim = tup.n, tup.basis.dimension
+    row_sq = np.bincount(op * dim + row, np.abs(val) ** 2, minlength=n * dim)
+    return np.sqrt(row_sq.reshape(n, dim).max(axis=1)).tolist()
+
+
+def pte_coefficient(tup: DixonTuple, entries=None):
+    """Coefficient of g in p(T) e and the norm of the off-g residual.
+
+    With at most one nonzero per column, T_l sends basis vector c to
+    value[l, c] times basis vector target[l, c], or to 0 (a sink index past
+    the basis).  Every monomial T_{j1} ... T_{jk} e (j1 <= ... <= jk) is
+    followed by k index gathers, one per factor from the right, and one
+    bincount sums the terms.
+    """
+    op, row, col, val = _stacked_entries(tup) if entries is None else entries
+    n, dim = tup.n, tup.basis.dimension
+    if np.bincount(op * dim + col, minlength=1).max() > 1:
         raise ValueError("operator has a column with two nonzero entries")
-    return np.asarray(abs(t).power(2).sum(axis=1)).ravel()
-
-
-def operator_norms(tup: DixonTuple) -> list:
-    """Exact ||T_l||: T_l T_l^* is diagonal, so the norm is the largest row 2-norm."""
-    return [math.sqrt(_row_norms_squared(t).max(initial=0.0)) for t in tup.ops]
-
-
-def apply_polynomial(p: HomogeneousPolynomial, tup: DixonTuple, v: np.ndarray) -> np.ndarray:
-    """p(T) v with monomials read as products T_{j1} ... T_{jk}, j1 <= ... <= jk."""
-    v = np.asarray(v, dtype=np.complex128)
-    acc = np.zeros_like(v)
-    for key, c in p.coeffs.items():
-        w = v
-        for j in reversed(key):
-            w = tup.ops[j - 1] @ w
-        acc = acc + c * w
-    return acc
-
-
-def pte_coefficient(tup: DixonTuple):
-    """Coefficient of g in p(T) e and the norm of the off-g residual."""
-    dim = tup.basis.dimension
-    e = np.zeros(dim, dtype=np.complex128)
-    e[tup.basis.index[("e",)]] = 1.0
-    w = apply_polynomial(tup.polynomial, tup, e)
+    target = np.full((n, dim + 1), dim)
+    value = np.zeros((n, dim + 1), dtype=np.complex128)
+    target[op, col] = row
+    value[op, col] = val
+    p = tup.polynomial
+    factors = np.array(p.support(), dtype=np.intp).reshape(-1, p.k) - 1
+    term = np.array(list(p.coeffs.values()), dtype=np.complex128)
+    pos = np.full(p.term_count, tup.basis.index[("e",)])
+    for factor in factors.T[::-1]:
+        term *= value[factor, pos]
+        pos = target[factor, pos]
+    re, im = (np.bincount(pos, part, minlength=dim + 1)[:dim] for part in (term.real, term.imag))
+    w = re + 1j * im
     g_pos = tup.basis.index[("g",)]
     coeff = complex(w[g_pos])
     w[g_pos] = 0.0
     return coeff, float(np.linalg.norm(w))
 
 
-def check_grading(tup: DixonTuple) -> bool:
-    """Whether every nonzero of every T_l maps a layer-m basis vector into layer m + 1."""
-    layer = np.repeat(np.arange(tup.k + 1), _layer_sizes(tup.n, tup.k))
-    stacked = sp.vstack(tup.ops).tocoo()  # T_l in rows l * dim, ..., (l + 1) * dim - 1
-    nz = stacked.data != 0
-    rows = stacked.row[nz] % tup.basis.dimension
-    return bool(np.all(layer[rows] == layer[stacked.col[nz]] + 1))
+def _layer_weights(tup: DixonTuple, entries) -> list:
+    """w_m = 1 / max(1, min(||[A_1 ... A_n]||, ||[A_1; ...; A_n]||)), m = 0, ..., k - 1.
+
+    A_j is the block of T_j from layer m to layer m + 1.  Block m of
+    sum_j alpha_j T_j is [A_1 ... A_n](alpha (x) I) = (alpha^T (x) I)[A_1; ...; A_n],
+    so its norm is at most ||alpha|| times either stack norm.  For signed
+    partial permutations the Grams sum_j A_j A_j^* and sum_j A_j^* A_j are
+    diagonal, holding the entry count of each row and of each column, so
+    each stack norm is the square root of the largest count: one bincount
+    each.  With +-1 entries the floor 1 only acts on an empty block.
+    """
+    _, row, col, val = entries
+    dim = tup.basis.dimension
+    sq = np.abs(val) ** 2
+    starts = np.cumsum([0] + _layer_sizes(tup.n, tup.k)[:-1])
+    row_max = np.maximum.reduceat(np.bincount(row, sq, minlength=dim), starts)
+    col_max = np.maximum.reduceat(np.bincount(col, sq, minlength=dim), starts)
+    stack = np.sqrt(np.minimum(row_max[1:], col_max[:-1]))
+    return (1.0 / np.maximum(stack, 1.0)).tolist()
 
 
 # One home for the certificate tolerances: commutator entries, the
-# deviation of each ||T_l|| from 1, the coefficient and residual of p(T)e,
-# and the excess of the row value over 1.
+# deviation of each ||T_l|| from 1, and the coefficient and residual of p(T)e.
 COMMUTATOR_TOL = 1e-12
 OPNORM_TOL = 1e-10
 ACTION_TOL = 1e-9
-ROW_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -226,6 +252,14 @@ class Certificate:
 
     When graded, the degree-k p(T) maps e to the line of g and every other
     layer past g, so p(T) = c g e^* and ||p(T)|| = |c| for c = pte_coefficient.
+    When every T_l is also a signed partial permutation (at most one entry
+    +-1 in each row and each column), the layer weights certify the row
+    condition: with W = 1 on e and w_m on layer m + 1, the tuple W T_j
+    commutes like T_j (W T_a W T_b = w_m w_{m+1} T_a T_b on layer m), every
+    block of sum_j alpha_j W T_j has norm at most ||alpha||, and the blocks
+    map orthogonal layers into orthogonal layers, so
+    sup over unit alpha of ||sum_j alpha_j W T_j|| <= 1, while
+    p(W T) = weight_product * p(T).
     """
 
     commutator: float
@@ -234,77 +268,46 @@ class Certificate:
     pte_coefficient: complex
     pte_residual: float
     graded: bool
+    permutation: bool
+    layer_weights: list
     ok: bool
+
+    @property
+    def weight_product(self) -> float:
+        return math.prod(self.layer_weights)
 
 
 def certify(tup: DixonTuple) -> Certificate:
-    """Check grading, commutation, unit operator norms and p(T) e = |J| g."""
+    """Check grading, signed partial permutations, commutation, unit norms and p(T) e = |J| g.
+
+    One pass over the stacked operators gives the grading, the permutation
+    check, ||T_l||, p(T) e and the layer weights; the commutators come from
+    one stacked product.
+    """
+    entries = _stacked_entries(tup)
+    op, row, col, val = entries
+    dim = tup.basis.dimension
+    layer = np.repeat(np.arange(tup.k + 1), _layer_sizes(tup.n, tup.k))
+    graded = bool(np.all(layer[row] == layer[col] + 1))
+    permutation = bool(
+        np.all((val == 1) | (val == -1))
+        and np.bincount(op * dim + row, minlength=1).max() <= 1
+        and np.bincount(op * dim + col, minlength=1).max() <= 1
+    )
     comm = check_commuting(tup)
-    norms = operator_norms(tup)
+    norms = operator_norms(tup, entries)
     dev = max(abs(x - 1.0) for x in norms)
-    coeff, residual = pte_coefficient(tup)
-    graded = check_grading(tup)
+    coeff, residual = pte_coefficient(tup, entries)
     ok = (
         graded
+        and permutation
         and comm <= COMMUTATOR_TOL
         and dev <= OPNORM_TOL
         and residual <= ACTION_TOL
         and abs(coeff - tup.system.cardinality) <= ACTION_TOL
     )
-    return Certificate(comm, norms, dev, coeff, residual, graded, ok)
-
-
-@dataclass(frozen=True)
-class RowConditionResult:
-    """|| sum_j alpha_j s T_j || at the better of two unit alpha.
-
-    value is a lower value of the sup over unit alpha: at k = 3 the witness
-    candidate gives at least max(1, 6 |p(w)|), which is the sup when w
-    attains ||p||_{B_2}; at k >= 4 the uniform candidate gives at least
-    sqrt(2 - 1/n) from the t_1 -> t_2 block.  block_row_norm is the exact
-    norm of the stacked row [T_1 ... T_n] times s, which upper-bounds the
-    sup and is reported for reference.
-    """
-
-    value: float
-    scale: float
-    alpha: np.ndarray
-    block_row_norm: float
-
-    def satisfied(self) -> bool:
-        return self.value <= 1.0 + ROW_TOL
-
-
-def _combination_norm(tup: DixonTuple, alpha) -> float:
-    """|| sum_j alpha_j T_j || as the largest norm of its layer-to-layer blocks.
-
-    The combination maps each layer (e, the t-tuples of each size, f, g)
-    into the next and the layers are mutually orthogonal, so its norm is
-    the largest block norm; each block is small enough for a dense SVD.
-    """
-    a = sum(x * t for x, t in zip(alpha, tup.ops)).toarray()
-    sizes = _layer_sizes(tup.n, tup.k)
-    edges = np.cumsum([0] + sizes)
-    return max(
-        float(np.linalg.norm(a[edges[m + 1] : edges[m + 2], edges[m] : edges[m + 1]], 2))
-        for m in range(len(sizes) - 1)
-    )
-
-
-def check_row_condition(tup: DixonTuple, scale: float, witness) -> RowConditionResult:
-    """|| sum_j alpha_j (s T_j) || at alpha = w / ||w|| and at the uniform vector.
-
-    w is a q = 2 ascent witness of the tuple's polynomial; the larger of the
-    two values is reported, times the scale s.
-    """
-    n = tup.n
-    gram = sum(_row_norms_squared(t) for t in tup.ops)
-    block_row = math.sqrt(gram.max()) * scale
-    candidates = [witness / np.linalg.norm(witness), np.full(n, n**-0.5)]
-    value, alpha = max(
-        ((_combination_norm(tup, alpha), alpha) for alpha in candidates), key=lambda c: c[0]
-    )
-    return RowConditionResult(value * scale, scale, alpha, block_row)
+    weights = _layer_weights(tup, entries)
+    return Certificate(comm, norms, dev, coeff, residual, graded, permutation, weights, ok)
 
 
 def corrupt_tuple(tup: DixonTuple, seed: int = 0) -> DixonTuple:
@@ -330,13 +333,9 @@ def corrupt_tuple(tup: DixonTuple, seed: int = 0) -> DixonTuple:
     raise ValueError("tuple has no f-layer entries to corrupt")
 
 
-def verify_report(tup: DixonTuple, *, scale: float | None = None, seed: int = 0) -> dict:
-    """The record `vnlab dixon verify` emits, plus the op_norms list of the certificate."""
-    if scale is None:
-        scale = (1.0 + tup.polynomial.coefficient_sum) ** -0.5
+def verify_report(tup: DixonTuple) -> dict:
+    """The record `vnlab dixon verify` emits, plus the certificate's op_norms and layer_weights."""
     cert = certify(tup)
-    witness = estimate_norm(tup.polynomial, 2, seed=seed).witness
-    row = check_row_condition(tup, scale, witness)
     return {
         "built": True,
         "dimension": tup.basis.dimension,
@@ -346,9 +345,8 @@ def verify_report(tup: DixonTuple, *, scale: float | None = None, seed: int = 0)
         "pTe_re": cert.pte_coefficient.real,
         "pTe_im": cert.pte_coefficient.imag,
         "pTe_residual": cert.pte_residual,
-        "row_scale": scale,
-        "row_condition_value": row.value,
-        "block_row_norm": row.block_row_norm,
+        "weight_product": cert.weight_product,
         "certified": cert.ok,
         "op_norms": cert.op_norms,
+        "layer_weights": cert.layer_weights,
     }

@@ -375,18 +375,6 @@ def interpolation_upper_low(q, norm1_upper: float, norm2_upper: float, k: int) -
     return a ** ((2.0 - qf) / qf) * b ** ((2.0 * qf - 2.0) / qf)
 
 
-def ksz_reference(n: int, cardinality: int, max_weight: float, k: int, d_const: float) -> float:
-    """Reference scale D (n * card * max_weight^2 * log k)^{1/2} for sup growth.
-
-    Natural logarithm; requires k >= 2 and positive arguments.
-    """
-    if k < 2:
-        raise ValueError(f"need k >= 2, got k={k}")
-    if n < 1 or cardinality < 0 or max_weight < 0 or d_const < 0:
-        raise ValueError("arguments must be nonnegative (n >= 1)")
-    return d_const * math.sqrt(n * cardinality * max_weight**2 * math.log(k))
-
-
 def flattening_upper_bound(p: HomogeneousPolynomial) -> float:
     """Certified l_2 upper bound from the coefficient-tensor flattening.
 

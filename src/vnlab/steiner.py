@@ -156,21 +156,6 @@ def max_cardinality(n: int, k: int, t: int) -> Fraction:
     return Fraction(math.comb(n, t), math.comb(k, t))
 
 
-def psi_reference(k: int, n: int, c: float = 1.0) -> float:
-    """Reference curve for achievable cardinality of S_p(k-1, k, n).
-
-    Uses natural logarithms.  The constant c is not pinned by theory; the
-    default c=1 makes the curve a comparison reference, not a guarantee.
-    """
-    if k < 3:
-        raise ValueError(f"reference curve requires k >= 3, got k={k}")
-    if n < k:
-        raise ValueError(f"need n >= k, got n={n} k={k}")
-    if k == 3:
-        return (math.comb(n, 2) / 3.0) * (1.0 - c * math.log(n) ** 1.5 * n**-0.5)
-    return (math.comb(n, k - 1) / k) * (1.0 - c * n ** (-1.0 / (k - 1)))
-
-
 def fano_system() -> PartialSteinerSystem:
     """The 7-point, 7-block triple system with every pair covered once."""
     return PartialSteinerSystem(7, 3, 2, FANO_BLOCKS)

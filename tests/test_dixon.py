@@ -9,18 +9,18 @@ import scipy.sparse as sp
 
 from vnlab.dixon import (
     DixonTuple,
+    _layer_sizes,
     build_basis,
     build_tuple,
     certify,
     check_commuting,
-    check_row_condition,
     corrupt_tuple,
     dixon_dimension,
     operator_norms,
     pte_coefficient,
     verify_report,
 )
-from vnlab.norms import estimate_norm
+from vnlab.norms import estimate_norm, flattening_upper_bound
 from vnlab.polynomials import HomogeneousPolynomial, random_steiner_polynomial
 from vnlab.steiner import PartialSteinerSystem, fano_system, greedy_generate
 
@@ -124,6 +124,26 @@ def test_polynomial_operator_is_rank_one():
         want[tup.basis.index[("g",)], tup.basis.index[("e",)]] = abs(cert.pte_coefficient)
         np.testing.assert_array_equal(m, want)
         assert abs(cert.pte_coefficient) == tup.system.cardinality
+
+
+@pytest.mark.parametrize("n,k,seed", [(7, 3, 6), (10, 3, 5), (8, 4, 2), (7, 5, 0)])
+def test_pte_coefficient_matches_dense_action(n, k, seed):
+    # the index gathers against dense mat-vecs T_{j1} (... (T_{jk} e)), also
+    # on corrupted tuples, where the order of the factors matters
+    tup = make_tuple(n, k, seed)
+    for t in (tup, corrupt_tuple(tup, seed=0), corrupt_tuple(tup, seed=1)):
+        dense = [op.toarray() for op in t.ops]
+        v = np.zeros(t.basis.dimension, dtype=complex)
+        for key, c in t.polynomial.coeffs.items():
+            w = unit(t.basis, ("e",))
+            for j in reversed(key):
+                w = dense[j - 1] @ w
+            v += c * w
+        g = t.basis.index[("g",)]
+        coeff, resid = pte_coefficient(t)
+        assert coeff == v[g]
+        v[g] = 0
+        assert resid == pytest.approx(np.linalg.norm(v), rel=1e-15)
 
 
 # -------------------------------------------------------------- contractivity
@@ -290,21 +310,113 @@ def test_build_rejects_pair_collisions():
 # ---------------------------------------------------------------- row condition
 
 
-def test_row_condition_zero_scale():
-    tup = make_tuple(7, 3, 0)
-    row = check_row_condition(tup, 0.0, np.ones(7))
-    assert row.value == 0.0
+def _layer_edges(tup):
+    return np.cumsum([0] + _layer_sizes(tup.n, tup.k))
+
+
+def _weighted_ops(tup, weights):
+    # dense W T_j: the entries landing in layer m + 1 scaled by w_m
+    edges = _layer_edges(tup)
+    diag = np.ones(tup.basis.dimension)
+    for m, w in enumerate(weights):
+        diag[edges[m + 1] : edges[m + 2]] = w
+    return [diag[:, None] * t.toarray() for t in tup.ops]
+
+
+def _dense_combination_norm(ops, alpha):
+    return np.linalg.norm(sum(a * t for a, t in zip(alpha, ops)), 2)
+
+
+def _unit_alphas(n, rng, count):
+    yield np.full(n, n**-0.5)
+    yield np.eye(n)[0]
+    for _ in range(count):
+        a = rng.normal(size=n) + 1j * rng.normal(size=n)
+        yield a / np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("n,k,seed", [(7, 3, 0), (13, 3, 2), (8, 4, 2), (10, 4, 1), (7, 5, 0)])
+def test_weighted_tuple_is_a_certified_row_contraction(n, k, seed):
+    # dense oracle for the layer-weight certificate: W T_j commute, every
+    # unit combination is a contraction, and p(W T) e = prod w |J| g
+    tup = make_tuple(n, k, seed)
+    cert = certify(tup)
+    assert cert.ok and cert.permutation
+    ops = _weighted_ops(tup, cert.layer_weights)
+    for a, b in itertools.combinations(ops, 2):
+        assert np.abs(a @ b - b @ a).max() <= 1e-12
+    rng = np.random.default_rng(seed)
+    for alpha in _unit_alphas(n, rng, 30):
+        assert _dense_combination_norm(ops, alpha) <= 1 + 1e-12
+    e = unit(tup.basis, ("e",))
+    pe = np.zeros_like(e)
+    for key, c in tup.polynomial.coeffs.items():
+        v = e
+        for j in reversed(key):
+            v = ops[j - 1] @ v
+        pe += c * v
+    want = cert.weight_product * tup.system.cardinality * unit(tup.basis, ("g",))
+    np.testing.assert_allclose(pe, want, rtol=1e-12, atol=0)
+    assert not certify(corrupt_tuple(tup, seed=seed)).ok
+
+
+@pytest.mark.parametrize("n,k,seed", [(7, 3, 3), (12, 3, 1), (8, 4, 2), (9, 5, 3)])
+def test_layer_weights_match_dense_stack_norms(n, k, seed):
+    # w_m = 1 / min(||[A_1 ... A_n]||, ||[A_1; ...; A_n]||) per block, the
+    # stack norms taken from the dense Grams sum A A^* and sum A^* A
+    tup = make_tuple(n, k, seed)
+    edges = _layer_edges(tup)
+    dense = [t.toarray() for t in tup.ops]
+    want = []
+    for m in range(k):
+        blocks = [t[edges[m + 1] : edges[m + 2], edges[m] : edges[m + 1]] for t in dense]
+        row = np.linalg.eigvalsh(sum(a @ a.conj().T for a in blocks)).max()
+        col = np.linalg.eigvalsh(sum(a.conj().T @ a for a in blocks)).max()
+        want.append(1 / math.sqrt(min(row, col)))
+    assert certify(tup).layer_weights == pytest.approx(want, rel=1e-12)
+
+
+def test_certify_rejects_non_permutation():
+    # phases i on the e-entries and -i on the g-entries keep the tuple graded,
+    # commuting, of unit norms and with p(T) e = |J| g, but its entries are no
+    # longer +-1, so its commutators are no longer exact integers
+    tup = make_tuple(7, 3, 1)
+    e, g = tup.basis.index[("e",)], tup.basis.index[("g",)]
+    phased = []
+    for t in tup.ops:
+        c = t.tocoo()
+        data = c.data * np.where(c.col == e, 1j, 1) * np.where(c.row == g, -1j, 1)
+        phased.append(sp.coo_matrix((data, (c.row, c.col)), shape=c.shape).tocsc())
+    cert = certify(DixonTuple(tup.system, tup.polynomial, tup.basis, tuple(phased)))
+    assert cert.graded and cert.commutator == 0 and cert.opnorm_max_dev == 0
+    assert cert.pte_coefficient == tup.system.cardinality and cert.pte_residual == 0
+    assert not cert.permutation and not cert.ok
+    # two entries in one row of T_1 keep the grading but break the diagonal
+    # row Gram that the layer weights are read from
+    t1 = tup.ops[0].tocoo()
+    f_layer = [tup.basis.index[("f", x)] for x in range(1, tup.n + 1)]
+    a, b = np.flatnonzero(np.isin(t1.row, f_layer))[:2]
+    row = t1.row.copy()
+    row[b] = row[a]
+    merged = sp.coo_matrix((t1.data, (row, t1.col)), shape=t1.shape).tocsc()
+    cert = certify(DixonTuple(tup.system, tup.polynomial, tup.basis, (merged,) + tup.ops[1:]))
+    assert cert.graded and not cert.permutation and not cert.ok
+    assert certify(tup).permutation
 
 
 def test_row_condition_single_block_exact():
     # sup over unit alpha of ||sum alpha_l T_l|| = max(1, 3! * sup|p|) at k=3;
-    # for one block sup|p| = 3^{-3/2}, so the sup is 2/sqrt(3)
+    # for one block sup|p| = 3^{-3/2}, so the sup is 2/sqrt(3), attained at
+    # the ascent witness; the weights bring it to 1
     sys_ = PartialSteinerSystem(n=3, k=3, t=2, blocks=((1, 2, 3),))
     p = HomogeneousPolynomial(n=3, k=3, coeffs={(1, 2, 3): 1.0})
     tup = build_tuple(sys_, p)
-    row = check_row_condition(tup, 1.0, estimate_norm(p, 2, seed=1).witness)
-    assert row.value == pytest.approx(2 / math.sqrt(3), abs=1e-6)
-    assert np.linalg.norm(row.alpha) == pytest.approx(1.0, abs=1e-9)
+    w = estimate_norm(p, 2, seed=1).witness
+    alpha = w / np.linalg.norm(w)
+    ops = [t.toarray() for t in tup.ops]
+    assert _dense_combination_norm(ops, alpha) == pytest.approx(2 / math.sqrt(3), abs=1e-6)
+    weighted = _weighted_ops(tup, certify(tup).layer_weights)
+    assert _dense_combination_norm(weighted, alpha) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_row_condition_matches_polynomial_norm_theory():
@@ -313,55 +425,39 @@ def test_row_condition_matches_polynomial_norm_theory():
     # symmetric coefficient tensor and complex Hilbert polarization is exact
     tup = make_tuple(7, 3, 1007)
     est = estimate_norm(tup.polynomial, 2, restarts=24, seed=5)
-    row = check_row_condition(tup, 1.0, est.witness)
-    assert row.value == pytest.approx(max(1.0, 6 * est.lower), rel=1e-6)
-
-
-def test_row_condition_scales_linearly():
-    tup = make_tuple(7, 3, 2)
-    a = check_row_condition(tup, 1.0, np.ones(7))
-    b = check_row_condition(tup, 0.25, np.ones(7))
-    assert b.value == pytest.approx(0.25 * a.value, rel=1e-9)
-    assert b.satisfied()
-    assert not a.satisfied()  # value > 1 unscaled on this instance
-
-
-def test_block_row_norm_is_stacked_row():
-    # ||[T_1 ... T_n]|| = sqrt of the largest eigenvalue of sum T_j T_j^*
-    tup = make_tuple(7, 3, 3)
-    row = check_row_condition(tup, 1.0, np.ones(7))
-    acc = sum((t @ t.conj().T).toarray() for t in tup.ops)
-    want = math.sqrt(np.linalg.eigvalsh(acc).max())
-    assert row.block_row_norm == pytest.approx(want, rel=1e-9)
-    assert row.value <= row.block_row_norm + 1e-9  # stacked row dominates
-
-
-def _dense_combination_norm(tup, alpha):
-    return np.linalg.norm(sum(a * t.toarray() for a, t in zip(alpha, tup.ops)), 2)
+    alpha = est.witness / np.linalg.norm(est.witness)
+    value = _dense_combination_norm([t.toarray() for t in tup.ops], alpha)
+    assert value == pytest.approx(max(1.0, 6 * est.lower), rel=1e-6)
 
 
 @pytest.mark.parametrize("n,seed", [(7, 0), (9, 1), (13, 2)])
 def test_row_value_is_dense_norm_at_k3(n, seed):
-    # the value is the norm at the returned alpha, and at k=3 the witness
-    # candidate gives at least max(1, 6 |p(w)|): w^T M(w) w = 6 p(w) for the
-    # middle-layer block M(alpha)
+    # at k=3 the unweighted row value at the witness is at least
+    # max(1, 6 |p(w)|): w^T M(w) w = 6 p(w) for the middle-layer block M(alpha);
+    # the weighted tuple stays a contraction there
     tup = make_tuple(n, 3, seed)
     w = estimate_norm(tup.polynomial, 2, restarts=8, seed=seed).witness
-    row = check_row_condition(tup, 1.0, w)
-    assert np.linalg.norm(row.alpha) == pytest.approx(1.0, rel=1e-12)
-    assert row.value == pytest.approx(_dense_combination_norm(tup, row.alpha), rel=1e-12)
-    floor = max(1.0, 6 * abs(tup.polynomial.evaluate(w / np.linalg.norm(w))))
-    assert row.value >= floor * (1 - 1e-12)
+    alpha = w / np.linalg.norm(w)
+    value = _dense_combination_norm([t.toarray() for t in tup.ops], alpha)
+    floor = max(1.0, 6 * abs(tup.polynomial.evaluate(alpha)))
+    assert value >= floor * (1 - 1e-12)
+    weighted = _weighted_ops(tup, certify(tup).layer_weights)
+    assert _dense_combination_norm(weighted, alpha) <= 1 + 1e-12
 
 
 @pytest.mark.parametrize("n,seed", [(6, 0), (8, 2), (10, 3)])
 def test_row_value_at_k4_reaches_uniform_block(n, seed):
-    # at uniform alpha the t_1 -> t_2 block B has B^*B = (1 - 1/n) I + 11^T / n
+    # at uniform alpha the t_1 -> t_2 block B has B^*B = (1 - 1/n) I + 11^T / n,
+    # so the unweighted row value is at least sqrt(2 - 1/n) > 1; the weight
+    # 1/sqrt(2) on t_2 brings it under 1
     tup = make_tuple(n, 4, seed)
-    w = estimate_norm(tup.polynomial, 2, restarts=8, seed=seed).witness
-    row = check_row_condition(tup, 1.0, w)
-    assert row.value == pytest.approx(_dense_combination_norm(tup, row.alpha), rel=1e-12)
-    assert row.value >= math.sqrt(2 - 1 / n) * (1 - 1e-12)
+    alpha = np.full(n, n**-0.5)
+    value = _dense_combination_norm([t.toarray() for t in tup.ops], alpha)
+    assert value >= math.sqrt(2 - 1 / n) * (1 - 1e-12)
+    cert = certify(tup)
+    assert cert.layer_weights[1] == pytest.approx(2**-0.5, rel=1e-15)
+    weighted = _weighted_ops(tup, cert.layer_weights)
+    assert _dense_combination_norm(weighted, alpha) <= 1 + 1e-12
 
 
 # -------------------------------------------------------------------- reports
@@ -369,7 +465,7 @@ def test_row_value_at_k4_reaches_uniform_block(n, seed):
 
 def test_verify_report_contents():
     tup = make_tuple(7, 3, 4)
-    rep = verify_report(tup, seed=0)
+    rep = verify_report(tup)
     assert rep["dimension"] == 16
     assert rep["cardinality"] == 7
     assert rep["max_commutator"] == 0.0
@@ -377,5 +473,10 @@ def test_verify_report_contents():
     assert rep["pTe_re"] == 7.0
     assert rep["pTe_im"] == 0.0
     assert rep["pTe_residual"] == 0.0
-    assert rep["row_scale"] == pytest.approx((1 + 7) ** -0.5, rel=1e-14)
-    assert rep["row_condition_value"] <= 1 + 1e-9
+    assert rep["certified"] is True
+    # k = 3: w = (1, 1 / (6 U), 1) with U the flattening bound
+    assert rep["layer_weights"][0] == rep["layer_weights"][2] == 1.0
+    want = 1 / (6 * flattening_upper_bound(tup.polynomial))
+    assert rep["weight_product"] == pytest.approx(want, rel=1e-12)
+    for gone in ("row_scale", "row_condition_value", "block_row_norm"):
+        assert gone not in rep

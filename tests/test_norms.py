@@ -11,7 +11,6 @@ from vnlab.norms import (
     flattening_upper_bound,
     interpolation_upper,
     interpolation_upper_low,
-    ksz_reference,
     lambda_constant,
     multilinear_estimate,
 )
@@ -231,16 +230,6 @@ def test_interpolation_upper_low_frozen_value():
         interpolation_upper_low(2.5, 1.0, 1.0, 3)
     with pytest.raises(ValueError):
         interpolation_upper_low(1.0, 1.0, 1.0, 3)
-
-
-def test_ksz_reference_frozen_value():
-    assert ksz_reference(7, 7, 1.0, 3, 1.0) == pytest.approx(
-        7.337029517777435, rel=1e-12
-    )
-    with pytest.raises(ValueError):
-        ksz_reference(7, 7, 1.0, 1, 1.0)
-    with pytest.raises(ValueError):
-        ksz_reference(0, 7, 1.0, 3, 1.0)
 
 
 # ------------------------------------------------------------ flattening layer

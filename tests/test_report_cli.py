@@ -182,6 +182,9 @@ def test_cli_dixon_verify_pass_and_fail(tmp_path, capsys):
     rec = body["records"][0]
     assert rec["certified"] is True
     assert rec["max_commutator"] == 0.0
+    weights = body["summary"]["layer_weights"]
+    assert len(weights) == 3
+    assert rec["weight_product"] == math.prod(weights)
 
     # two blocks sharing a pair cannot be certified: exit code 2
     bad = HomogeneousPolynomial(
@@ -345,12 +348,30 @@ def test_execute_rejects_unknown_config_key(tmp_path, capsys):
     assert "norm_restart" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["threads", "row_trials", "row_restarts", "row_iters"])
-def test_execute_accepts_retired_keys(key):
-    rep, _, failed = execute({
-        "command": "bounds.sweep", "kind": "C", "q": "inf", "k": 3,
-        "n_list": "7", "seeds": 1, "norm_restarts": 2, "norm_max_iter": 20, key: 2,
-    })
+SWEEP = {
+    "command": "bounds.sweep", "kind": "C", "q": "inf", "k": 3,
+    "n_list": "7", "seeds": 1, "norm_restarts": 2, "norm_max_iter": 20,
+}
+
+
+@pytest.mark.parametrize(
+    "config,key",
+    [
+        pytest.param(SWEEP, "threads", id="threads"),
+        pytest.param(SWEEP, "row_trials", id="row_trials"),
+        pytest.param(SWEEP, "row_restarts", id="row_restarts"),
+        pytest.param(SWEEP, "row_iters", id="row_iters"),
+        pytest.param({"command": "dixon.verify"}, "scale", id="dixon.verify-scale"),
+    ],
+)
+def test_execute_accepts_retired_keys(config, key, tmp_path):
+    if config["command"] == "dixon.verify":
+        _, sys_text, _ = execute({"command": "steiner.gen", "n": 7, "k": 3, "t": 2})
+        (tmp_path / "d.txt").write_text(sys_text)
+        _, poly_text, _ = execute({"command": "poly.rand", "system": str(tmp_path / "d.txt")})
+        (tmp_path / "p.json").write_text(poly_text)
+        config = {**config, "poly": str(tmp_path / "p.json")}
+    rep, _, failed = execute({**config, key: 2})
     assert not failed
     assert len(rep.records) == 1
     assert rep.config[key] == 2

@@ -17,7 +17,6 @@ from vnlab.steiner import (
     greedy_generate,
     loads_system,
     max_cardinality,
-    psi_reference,
     validate,
 )
 
@@ -127,21 +126,6 @@ def test_max_cardinality_rejects_bad_parameters():
         max_cardinality(7, 3, 0)
     with pytest.raises(ValueError):
         max_cardinality(7, 3, 4)
-
-
-def test_density_reference_cubic_value():
-    # frozen: (C(100,2)/3) * (1 - ln(100)^{3/2} / sqrt(100))
-    assert psi_reference(3, 100, 1.0) == pytest.approx(19.381103872178464, rel=1e-12)
-
-
-def test_density_reference_higher_degree_no_correction():
-    # c=0 leaves the plain ceiling C(n,k-1)/k
-    assert psi_reference(4, 10, 0.0) == pytest.approx(math.comb(10, 3) / 4, rel=1e-14)
-
-
-def test_density_reference_rejects_small_degree():
-    with pytest.raises(ValueError):
-        psi_reference(2, 10, 1.0)
 
 
 def test_point_degrees_and_pair_multiplicity():
