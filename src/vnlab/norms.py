@@ -75,46 +75,49 @@ def _batched_ascent(params, value_fn, grad_fn, max_iter, tol):
     """Maximize value_fn over rows of params by backtracking gradient ascent.
 
     Returns (params, values, iterations, converged mask).  value_fn maps an
-    (R, P) array to (R,); grad_fn additionally returns the (R, P) gradient.
+    (R, P) array to (R,); grad_fn additionally returns the (R, P) gradient,
+    and its values must equal value_fn's bit for bit.  Each iteration steps,
+    backtracks and differentiates only the live rows, the restarts that
+    have not converged; a converged row keeps its final params and value.
+    Both functions must treat every row on its own (see vnlab.kernels), so
+    the result equals that of stepping every row in every iteration.
     """
     params = np.array(params, dtype=np.float64)
-    nrows = params.shape[0]
     values, grads = grad_fn(params)
-    eta = np.full(nrows, 0.25)
-    converged = np.zeros(nrows, dtype=bool)
+    eta = np.full(params.shape[0], 0.25)
+    live = np.arange(params.shape[0])
     iterations = 0
-    for _ in range(max_iter):
-        if converged.all():
-            break
+    while live.size and iterations < max_iter:
         iterations += 1
-        trial = params + eta[:, None] * grads
+        # grads holds the live rows only; x, v and e are copies of theirs
+        x, v, e = params[live], values[live], eta[live]
+        done = np.zeros(live.size, dtype=bool)
+        trial = x + e[:, None] * grads
         trial_values = value_fn(trial)
         for _ in range(_BACKTRACK_LIMIT):
-            worse = ~converged & (trial_values < values)
+            worse = ~done & (trial_values < v)
             if not worse.any():
                 break
-            eta[worse] *= _STEP_SHRINK
-            stuck = worse & (eta < _STEP_FLOOR)
-            converged |= stuck
+            e[worse] *= _STEP_SHRINK
+            stuck = worse & (e < _STEP_FLOOR)
+            done |= stuck
             worse &= ~stuck
             if not worse.any():
                 break
-            trial[worse] = params[worse] + eta[worse, None] * grads[worse]
+            trial[worse] = x[worse] + e[worse, None] * grads[worse]
             trial_values[worse] = value_fn(trial[worse])
-        accept = ~converged & (trial_values >= values)
-        if accept.any():
-            gain = trial_values[accept] - values[accept]
-            base = np.maximum(values[accept], 1e-300)
-            done = gain <= tol * base
-            params[accept] = trial[accept]
-            values[accept] = trial_values[accept]
-            eta[accept] = np.minimum(eta[accept] * _STEP_GROW, 1e3)
-            idx = np.flatnonzero(accept)
-            converged[idx[done]] = True
-        if converged.all():
-            break
-        values_new, grads = grad_fn(params)
-        values = values_new
+        accept = np.flatnonzero(~done & (trial_values >= v))
+        gain = trial_values[accept] - v[accept]
+        done[accept[gain <= tol * np.maximum(v[accept], 1e-300)]] = True
+        x[accept] = trial[accept]
+        v[accept] = trial_values[accept]
+        e[accept] = np.minimum(e[accept] * _STEP_GROW, 1e3)
+        params[live], values[live], eta[live] = x, v, e
+        live = live[~done]
+        if live.size:
+            values[live], grads = grad_fn(params[live])
+    converged = np.ones(params.shape[0], dtype=bool)
+    converged[live] = False
     return params, values, iterations, converged
 
 
@@ -293,10 +296,11 @@ def multilinear_estimate(
     def objective(z, grad):
         nrows = z.shape[0]
         points = np.einsum("ek,rkn->ren", signs, z).reshape(-1, n)
+        vals, grads = p.gradient_batch(points) if grad else (p.evaluate_batch(points), None)
+        # a row-wise sum over the sign patterns, as in vnlab.kernels
+        form = scale * np.einsum("re,e->r", vals.reshape(nrows, -1), parity)
         if not grad:
-            return scale * (p.evaluate_batch(points).reshape(nrows, -1) @ parity)
-        vals, grads = p.gradient_batch(points)
-        form = scale * (vals.reshape(nrows, -1) @ parity)
+            return form
         dform = scale * np.einsum("e,ek,ren->rkn", parity, signs, grads.reshape(nrows, -1, n))
         return form, dform
 

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vnlab import kernels
+from vnlab.polynomials import random_steiner_polynomial
+from vnlab.steiner import greedy_generate
 
 
 def random_case(rng, nb=6, n=5, m=8, k=3):
@@ -42,7 +44,8 @@ def cumprod_add_at_oracle(coef, idx, points):
     suffix = np.ones_like(factors)
     np.cumprod(factors[:, :, :-1], axis=2, out=prefix[:, :, 1:])
     np.cumprod(factors[:, :, :0:-1], axis=2, out=suffix[:, :, -2::-1])
-    values = (prefix[:, :, -1] * factors[:, :, -1]) @ coef
+    # the kernel's row-wise term sum; the gradient keeps its own scatter
+    values = np.einsum("bt,t->b", prefix[:, :, -1] * factors[:, :, -1], coef)
     contrib = coef[None, :, None] * prefix * suffix
     rows = np.broadcast_to(np.arange(nb)[:, None, None], contrib.shape)
     cols = np.broadcast_to(idx[None, :, :], contrib.shape)
@@ -146,6 +149,48 @@ def test_gradient_kernel_matches_cumprod_add_at_formula(k):
             mag_vals, mag_grads = magnitudes(coef, idx, Z)
             assert np.all(np.abs(vals - want_vals) <= 1e-14 * mag_vals)
             assert np.all(np.abs(grads - want_grads) <= 1e-14 * mag_grads)
+
+
+def shifted_copy(a, shift):
+    """A copy of a that starts shift bytes into a fresh buffer; a shift of an
+    odd multiple of 8 bytes puts complex128 entries off 16-byte alignment."""
+    buf = np.zeros(a.nbytes + 32, dtype=np.uint8)
+    view = buf[shift : shift + a.nbytes].view(a.dtype).reshape(a.shape)
+    view[...] = a
+    return view
+
+
+@pytest.mark.parametrize(
+    "k, n", [(3, 7), (3, 25), (3, 100), (4, 9), (4, 25), (4, 40), (5, 11), (5, 23)]
+)
+def test_kernels_are_row_independent(k, n):
+    # a row's output may not depend on the rows beside it, their number or
+    # where the batch starts in memory
+    p = random_steiner_polynomial(
+        greedy_generate(n, k, k - 1, seed=n), rng=np.random.default_rng(n)
+    )
+    coef, idx = p._coef, p._idx0
+    rng = np.random.default_rng(10 * n + k)
+    nb = 24
+    Z = rng.normal(size=(nb, n)) + 1j * rng.normal(size=(nb, n))
+    want = kernels.poly_eval_batch(coef, idx, Z)
+    want_vals, want_grads = kernels.poly_eval_grad_batch(coef, idx, Z)
+    assert np.array_equal(want_vals, want)
+    subsets = [np.array([b]) for b in range(nb)]
+    subsets += [np.arange(lo, hi) for lo, hi in [(0, 2), (0, nb - 1), (1, nb), (5, 17)]]
+    subsets += [np.sort(rng.choice(nb, size=rng.integers(2, nb), replace=False)) for _ in range(8)]
+    # contiguous rows also as a view that starts one element into a larger buffer
+    flat = np.concatenate([np.zeros(1, dtype=complex), Z.ravel()])
+    for rows in subsets:
+        start = rows[0] * n + 1
+        views = [Z[rows], shifted_copy(Z[rows], 8), shifted_copy(Z[rows], 24)]
+        if np.array_equal(rows, np.arange(rows[0], rows[-1] + 1)):
+            views.append(flat[start : start + rows.size * n].reshape(rows.size, n))
+        for points in views:
+            vals, grads = kernels.poly_eval_grad_batch(coef, idx, points)
+            assert np.array_equal(kernels.poly_eval_batch(coef, idx, points), want[rows])
+            assert np.array_equal(vals, want_vals[rows])
+            assert np.array_equal(grads, want_grads[rows])
 
 
 def test_bench_runs_and_reports_speedup():

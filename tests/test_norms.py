@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from vnlab import kernels, norms
 from vnlab.norms import (
     estimate_norm,
     exact_norm_quadratic_l2,
@@ -305,3 +306,104 @@ def test_row_norm_certificate_theory():
     assert flattening_upper_bound(p) == pytest.approx(math.sqrt(1 / 18), rel=1e-12)
     # sqrt(1/18) = 3^{-3/2} * sqrt(3/2) > 3^{-3/2}: strictly looser but close
     assert flattening_upper_bound(p) > est.lower
+
+
+# ---------------------------------------------------------- live-row ascent
+
+
+def full_batch_ascent(params, value_fn, grad_fn, max_iter, tol):
+    """The ascent loop as it was before it dropped converged rows: every
+    row is stepped, evaluated and differentiated in every iteration."""
+    params = np.array(params, dtype=np.float64)
+    nrows = params.shape[0]
+    values, grads = grad_fn(params)
+    eta = np.full(nrows, 0.25)
+    converged = np.zeros(nrows, dtype=bool)
+    iterations = 0
+    for _ in range(max_iter):
+        if converged.all():
+            break
+        iterations += 1
+        trial = params + eta[:, None] * grads
+        trial_values = value_fn(trial)
+        for _ in range(norms._BACKTRACK_LIMIT):
+            worse = ~converged & (trial_values < values)
+            if not worse.any():
+                break
+            eta[worse] *= norms._STEP_SHRINK
+            stuck = worse & (eta < norms._STEP_FLOOR)
+            converged |= stuck
+            worse &= ~stuck
+            if not worse.any():
+                break
+            trial[worse] = params[worse] + eta[worse, None] * grads[worse]
+            trial_values[worse] = value_fn(trial[worse])
+        accept = ~converged & (trial_values >= values)
+        if accept.any():
+            gain = trial_values[accept] - values[accept]
+            base = np.maximum(values[accept], 1e-300)
+            done = gain <= tol * base
+            params[accept] = trial[accept]
+            values[accept] = trial_values[accept]
+            eta[accept] = np.minimum(eta[accept] * norms._STEP_GROW, 1e3)
+            idx = np.flatnonzero(accept)
+            converged[idx[done]] = True
+        if converged.all():
+            break
+        values_new, grads = grad_fn(params)
+        values = values_new
+    return params, values, iterations, converged
+
+
+def run_with_loop(monkeypatch, loop, estimator, *args, **kwargs):
+    """Run estimator on the ascent loop given.  Returns its result, the
+    loop's (params, values, iterations, converged) for every restart and
+    the number of points sent to the gradient kernel."""
+    rows, runs = [0], []
+    kernel = kernels.poly_eval_grad_batch
+
+    def counted(coef, idx, points):
+        rows[0] += points.shape[0]
+        return kernel(coef, idx, points)
+
+    def recorded(*loop_args):
+        runs.append(loop(*loop_args))
+        return runs[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "poly_eval_grad_batch", counted)
+        m.setattr(norms, "_batched_ascent", recorded)
+        result = estimator(*args, **kwargs)
+    return result, runs[0], rows[0]
+
+
+@pytest.mark.parametrize("k, n", [(3, 13), (4, 13)])
+@pytest.mark.parametrize("q", ["2", "inf", "3/2", "3"])
+def test_live_row_ascent_equals_full_batch_loop(monkeypatch, k, n, q):
+    p = random_steiner_polynomial(
+        greedy_generate(n, k, k - 1, seed=n + k), rng=np.random.default_rng(n * k)
+    )
+    cases = [
+        (estimate_norm, dict(restarts=12, max_iter=400, seed=k)),
+        (multilinear_estimate, dict(restarts=6, max_iter=300, seed=k)),
+    ]
+    for estimator, kwargs in cases:
+        args = (estimator, p, q)
+        got, got_run, got_rows = run_with_loop(monkeypatch, norms._batched_ascent, *args, **kwargs)
+        want, want_run, want_rows = run_with_loop(monkeypatch, full_batch_ascent, *args, **kwargs)
+        if estimator is estimate_norm:
+            assert np.array_equal(got.witness, want.witness)
+            assert got.lower == want.lower
+        else:
+            assert np.array_equal(got.vectors, want.vectors)
+            assert got.value == want.value
+        assert got.iterations == want.iterations
+        assert got.converged_restarts == want.converged_restarts
+        # every restart ends where it ended in the full-batch loop
+        for got_part, want_part in zip(got_run, want_run):
+            assert np.array_equal(got_part, want_part)
+        # a converged restart is no longer differentiated
+        if got.converged_restarts:
+            assert got_rows < want_rows
+        else:
+            assert got_rows == want_rows
