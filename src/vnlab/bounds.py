@@ -23,13 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from .dixon import build_tuple, certify
-from .norms import (
-    estimate_norm,
-    flattening_upper_bound,
-    interpolation_upper,
-    interpolation_upper_low,
-)
-from .polynomials import l1_ball_upper_bound, random_steiner_polynomial
+from .norms import estimate_norm, flattening_upper_bound
+from .polynomials import random_steiner_polynomial
 from .steiner import greedy_generate
 from .util import Exponent, stream
 
@@ -176,19 +171,6 @@ class BoundRecord:
         return asdict(self)
 
 
-def _certified_tuple(system, p):
-    """Build the tuple and check the exact certificates, or raise."""
-    tup = build_tuple(system, p)
-    cert = certify(tup)
-    if not cert.ok:
-        raise CertificationError(
-            f"certificate failed: graded {cert.graded}, commutator entry {cert.commutator}, "
-            f"operator norm deviation {cert.opnorm_max_dev}, p(T)e = {cert.pte_coefficient} g "
-            f"+ residual {cert.pte_residual}, expected {system.cardinality} g exactly"
-        )
-    return tup, cert
-
-
 def _pipeline_inputs(k: int, n: int, seed: int):
     """Shared construction: pair-unique greedy system plus random signs.
 
@@ -204,49 +186,50 @@ def _pipeline_inputs(k: int, n: int, seed: int):
     return system, p
 
 
-def lower_bound_D(
-    k: int,
-    n: int,
-    seed: int,
-    *,
-    norm_restarts: int = 16,
-    norm_max_iter: int = 800,
+def _lower_bound(
+    kind: str, k: int, q: Exponent, n: int, seed: int, restarts: int, max_iter: int
 ) -> BoundRecord:
-    """One cell of the D pipeline at q = 2.
+    """One pipeline cell: |J| over the certified upper U = certified_upper(p, q).
 
-    The headline column is bound = (1 + U)^{-k/2} |J| / U with U the best
-    certified Euclidean upper bound; it assumes the row condition for the
-    scaled tuple, which is not checked.  direct_value replaces |J| by
-    ||p(T)|| = |c| for the certified p(T) e = c g (p(T) = c g e^* on the
-    graded tuple), so direct_value == bound on every certified cell.
-    bound_certified = prod_m w_m ||p(T)|| / U uses the certificate's layer
-    weights w_m instead of the scale: the reweighted tuple commutes and is a
-    row contraction by proof, and p(W T) = prod_m w_m p(T).  At k = 3,
-    prod_m w_m = 1 / (6 * flattening); at k = 4 it is 1/2.
+    The kinds differ only in the scale s of the tuple, in bound_certified
+    and in the reference exponents.  D (q = 2) takes s = (1 + U)^{-1/2},
+    which assumes a row condition that is not checked, and bound_certified
+    = prod_m w_m ||p(T)|| / U from the certificate's layer weights, for
+    which the row condition holds by proof.  C takes s = n^{-1/q}, so
+    sum_j ||s T_j||^q = 1 exactly (s = 1 at q = inf), and bound_certified
+    = bound.  p(T) = c g e^* on the certified tuple, so direct_norm =
+    ||p(T)|| = |c| = |J| and direct_value == bound.  bound_estimate divides
+    by the ascent's lower value instead, an upper-biased quotient.
     """
     system, p = _pipeline_inputs(k, n, seed)
     card = system.cardinality
     flat = flattening_upper_bound(p)
-    est = estimate_norm(
-        p,
-        2,
-        restarts=norm_restarts,
-        max_iter=norm_max_iter,
-        seed=seed,
-        upper_bound=flat,
-        upper_label="flattening",
-    )
+    est = estimate_norm(p, q, restarts=restarts, max_iter=max_iter, seed=seed)
     upper = est.upper
-    _, cert = _certified_tuple(system, p)
-    scale = (1.0 + upper) ** -0.5
-    bound = scale**k * card / upper
-    bound_est = scale**k * card / est.lower if est.lower > 0 else math.inf
+    cert = certify(build_tuple(system, p))
+    if not cert.ok:
+        raise CertificationError(
+            f"certificate failed: graded {cert.graded}, commutator entry {cert.commutator}, "
+            f"operator norm deviation {cert.opnorm_max_dev}, p(T)e = {cert.pte_coefficient} g "
+            f"+ residual {cert.pte_residual}, expected {card} g exactly"
+        )
     direct_norm = abs(cert.pte_coefficient)
-    refs = reference_exponents(k, 2)
+    refs = reference_exponents(k, q)
+    if kind == "D":
+        scale = (1.0 + upper) ** -0.5
+        ref_upper, ref_lower = refs.d_upper, refs.d_lower
+    else:
+        scale = 1.0 if q.is_inf else float(n) ** (-1.0 / q.as_float())
+        ref_upper, ref_lower = refs.classical_upper, refs.improved_lower
+        if ref_upper is None:
+            ref_upper = refs.improved_lower
+        if ref_lower is None:
+            ref_lower = refs.classical_lower
+    bound = scale**k * card / upper if upper > 0 else math.inf
     return BoundRecord(
-        kind="D",
+        kind=kind,
         k=k,
-        q="2",
+        q=str(q),
         n=n,
         seed=seed,
         cardinality=card,
@@ -260,87 +243,34 @@ def lower_bound_D(
         pte_value=cert.pte_coefficient.real,
         pte_residual=cert.pte_residual,
         bound=bound,
-        bound_certified=cert.weight_product * direct_norm / upper,
-        bound_estimate=bound_est,
+        bound_certified=cert.weight_product * direct_norm / upper if kind == "D" else bound,
+        bound_estimate=scale**k * card / est.lower if est.lower > 0 else math.inf,
         direct_norm=direct_norm,
-        direct_value=scale**k * direct_norm / upper,
-        ref_upper_exponent=float(refs.d_upper),
-        ref_lower_exponent=float(refs.d_lower),
+        direct_value=scale**k * direct_norm / upper if upper > 0 else math.inf,
+        ref_upper_exponent=float(ref_upper),
+        ref_lower_exponent=float(ref_lower),
     )
+
+
+def lower_bound_D(
+    k: int, n: int, seed: int, *, norm_restarts: int = 16, norm_max_iter: int = 800
+) -> BoundRecord:
+    """One cell of the D pipeline at q = 2 (see _lower_bound).
+
+    bound = (1 + U)^{-k/2} |J| / U; bound_certified is |J| / (6 U^2) at
+    k = 3 and |J| / (2 U) at k = 4.
+    """
+    return _lower_bound("D", k, Exponent.finite(2), n, seed, norm_restarts, norm_max_iter)
 
 
 def lower_bound_C(
-    k: int,
-    q,
-    n: int,
-    seed: int,
-    *,
-    norm_restarts: int = 16,
-    norm_max_iter: int = 800,
+    k: int, q, n: int, seed: int, *, norm_restarts: int = 16, norm_max_iter: int = 800
 ) -> BoundRecord:
-    """One cell of the C pipeline at exponent q.
+    """One cell of the C pipeline at exponent q (see _lower_bound).
 
-    The tuple is scaled by s = n^{-1/q} so sum_j ||s T_j||^q = 1 exactly
-    (s = 1 and the plain contraction constraint at q = inf).  The certified
-    denominator comes from closed-form or interpolated upper bounds; the
-    estimate column divides by the ascent lower estimate instead, which
-    makes it an upper-biased quotient and is labeled accordingly.
+    bound = n^{-k/q} |J| / U, certified since the l_q constraint is exact.
     """
-    q = Exponent.parse(q)
-    system, p = _pipeline_inputs(k, n, seed)
-    card = system.cardinality
-    flat = flattening_upper_bound(p)
-    u2 = min(flat, p.coefficient_sum)
-    est = estimate_norm(
-        p, q, restarts=norm_restarts, max_iter=norm_max_iter, seed=seed
-    )
-    _, cert = _certified_tuple(system, p)
-    if q.is_inf:
-        scale = 1.0
-        denom_cert = p.coefficient_sum
-    else:
-        qf = q.as_float()
-        scale = float(n) ** (-1.0 / qf)
-        if q.fraction == 2:
-            denom_cert = u2
-        elif q.fraction > 2:
-            denom_cert = interpolation_upper(q, u2, p.coefficient_sum, k)
-        elif q.fraction == 1:
-            denom_cert = l1_ball_upper_bound(p)
-        else:
-            denom_cert = interpolation_upper_low(q, l1_ball_upper_bound(p), u2, k)
-    bound_cert = scale**k * card / denom_cert if denom_cert > 0 else math.inf
-    bound_est = scale**k * card / est.lower if est.lower > 0 else math.inf
-    # p(T) = c g e^* on the certified tuple, so ||p(T)|| = |c| = |J|
-    direct_norm = abs(cert.pte_coefficient)
-    refs = reference_exponents(k, q)
-    ref_lower = refs.improved_lower if refs.improved_lower is not None else refs.classical_lower
-    return BoundRecord(
-        kind="C",
-        k=k,
-        q=str(q),
-        n=n,
-        seed=seed,
-        cardinality=card,
-        scale=scale,
-        norm_lower=est.lower,
-        norm_upper=denom_cert,
-        upper_flattening=flat,
-        upper_coefficient_sum=p.coefficient_sum,
-        commutator_max=cert.commutator,
-        opnorm_max_dev=cert.opnorm_max_dev,
-        pte_value=cert.pte_coefficient.real,
-        pte_residual=cert.pte_residual,
-        bound=bound_cert,
-        bound_certified=bound_cert,
-        bound_estimate=bound_est,
-        direct_norm=direct_norm,
-        direct_value=scale**k * direct_norm / denom_cert if denom_cert > 0 else math.inf,
-        ref_upper_exponent=float(refs.classical_upper) if refs.classical_upper is not None else float(
-            refs.improved_lower
-        ),
-        ref_lower_exponent=float(ref_lower),
-    )
+    return _lower_bound("C", k, Exponent.parse(q), n, seed, norm_restarts, norm_max_iter)
 
 
 @dataclass(frozen=True)

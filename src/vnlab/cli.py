@@ -6,7 +6,8 @@ dixon verify | rademacher check | bounds sweep | bench.  Global flags:
 A JSON config file supplies values keyed by option name in underscore
 form (--max-iter is max_iter), and CLI flags override file values.  A key
 that is not an option of the command exits 1, except the retired keys
-threads, row_trials, row_restarts, row_iters and scale, which are ignored.
+threads, row_trials, row_restarts, row_iters, scale and flattening, which
+are ignored.
 
 Exit codes: 0 success, 1 invalid configuration, 2 validation or
 certification failure, 3 I/O error.
@@ -26,7 +27,7 @@ from . import bounds, dixon, norms, rademacher, steiner
 from .polynomials import HomogeneousPolynomial, random_steiner_polynomial
 from .report import ExperimentReport, content_hash
 from .steiner import PartialSteinerSystem
-from .util import Exponent, stream
+from .util import stream
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -34,7 +35,9 @@ EXIT_CERTIFICATION = 2
 EXIT_IO = 3
 
 # config keys of removed options, accepted and ignored so older configs still run
-_RETIRED_KEYS = frozenset({"threads", "row_trials", "row_restarts", "row_iters", "scale"})
+_RETIRED_KEYS = frozenset(
+    {"threads", "row_trials", "row_restarts", "row_iters", "scale", "flattening"}
+)
 
 
 class ConfigError(ValueError):
@@ -140,19 +143,13 @@ def _handle_norm(cfg):
     _require(cfg, "poly")
     text = _read_text(cfg["poly"])
     p = HomogeneousPolynomial.from_json(text)
-    q = Exponent.parse(cfg["q"])
-    upper = None
-    if cfg["flattening"] and not q.is_inf and q.fraction == 2:
-        upper = norms.flattening_upper_bound(p)
     est = norms.estimate_norm(
         p,
-        q,
+        cfg["q"],
         restarts=cfg["restarts"],
         max_iter=cfg["max_iter"],
         tol=cfg["tol"],
         seed=cfg["seed"],
-        upper_bound=upper,
-        upper_label="flattening",
     )
     rep = _report(cfg, [est.to_record()], text, summary={"witness": est.witness_json()})
     return rep, None, False
@@ -190,7 +187,7 @@ def _handle_rademacher_check(cfg):
         mc_draws=cfg["mc_draws"],
     )
     records = [
-        _check("lipschitz", lhs, rhs, ratio, lhs <= rhs + 1e-12)
+        _check("lipschitz", lhs, rhs, ratio, lhs <= rhs + rademacher.LIPSCHITZ_TOL)
         for lhs, rhs, ratio in lip.rows
     ]
     records += [
@@ -253,9 +250,8 @@ def _signature_defaults(fn, *names) -> dict:
     return {name: params[name].default for name in names or params}
 
 
-# Option specs besides an argparse type: a tuple of choices and these two.
+# Option specs besides an argparse type: a tuple of choices and this one.
 _POSITIONAL = object()  # an optional positional argument
-_OFF_SWITCH = object()  # a default-on flag, turned off by --no-<name>
 
 # Each command's options and defaults, declared once: the parser and the
 # accepted config keys are built from this table, and a default that the
@@ -268,18 +264,10 @@ _COMMANDS = {
     "poly.rand": (_handle_poly_rand, {"system": str}, {"seed": 0}),
     "norm": (
         _handle_norm,
-        {
-            "poly": str,
-            "q": str,
-            "restarts": int,
-            "max_iter": int,
-            "tol": float,
-            "flattening": _OFF_SWITCH,
-        },
+        {"poly": str, "q": str, "restarts": int, "max_iter": int, "tol": float},
         {
             "q": "2",
             **_signature_defaults(norms.estimate_norm, "restarts", "max_iter", "tol", "seed"),
-            "flattening": True,
         },
     ),
     "dixon.verify": (_handle_dixon_verify, {"poly": str}, {"seed": 0}),
@@ -366,8 +354,6 @@ def execute(config: dict):
 def _add_option(parser, name: str, spec):
     if spec is _POSITIONAL:
         parser.add_argument(name, nargs="?")
-    elif spec is _OFF_SWITCH:
-        parser.add_argument(f"--no-{name}", action="store_false", dest=name, default=None)
     elif isinstance(spec, tuple):
         parser.add_argument("--" + name.replace("_", "-"), choices=spec)
     else:

@@ -2,12 +2,15 @@
 
 Lower estimates come from multistart projected gradient ascent on |p(z)|^2
 (by homogeneity the search lives on the unit sphere of the ball); upper
-bounds come from certified closed forms:
+bounds come from certified closed forms, and certified_upper is the one
+place that picks among them:
 
   * the coefficient absolute sum (any q),
   * the spectral norm of the coefficient-tensor flattening (q = 2),
-  * exact singular values in the quadratic case (q = 2, k = 2),
+  * the l1-ball bound max_J |c_J| mult(J)! / k! (q = 1),
   * Hoelder interpolation between certified endpoint bounds.
+
+The quadratic case (q = 2, k = 2) also has an exact value from singular values.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .polynomials import HomogeneousPolynomial, polarization_signs
+from .polynomials import HomogeneousPolynomial, l1_ball_upper_bound, polarization_signs
 from .util import Exponent, stream
 
 _STEP_GROW = 1.3
@@ -230,8 +233,6 @@ def estimate_norm(
     max_iter: int = 2000,
     tol: float = 1e-10,
     seed: int = 0,
-    upper_bound: float | None = None,
-    upper_label: str = "caller_bound",
     extra_starts=(),
 ) -> NormEstimate:
     """Bracket sup_{||z||_q <= 1} |p(z)| by ascent (lower) and closed forms (upper).
@@ -242,17 +243,14 @@ def estimate_norm(
     unit sphere and the objective stays smooth.  Each restart derives its own
     RNG stream from (seed, restart index).  The witness satisfies the ball
     constraint and reproduces the reported lower bound by direct evaluation.
+    The upper end of the bracket is certified_upper(p, q).
     """
     q = Exponent.parse(q)
-    upper = p.coefficient_sum
-    method_upper = "coefficient_sum"
-    if upper_bound is not None and float(upper_bound) < upper:
-        upper = float(upper_bound)
-        method_upper = upper_label
+    upper, method_upper = certified_upper(p, q)
 
     if p.term_count == 0:
         witness = _zero_witness((1, p.n), q)[0]
-        return NormEstimate(q, 0.0, 0.0, witness, "ascent", method_upper, 0, 0, 0)
+        return NormEstimate(q, 0.0, upper, witness, "ascent", method_upper, 0, 0, 0)
 
     def objective(z, grad):
         if not grad:
@@ -264,7 +262,7 @@ def estimate_norm(
         objective, (1, p.n), q, restarts, max_iter, tol, seed, "norm-ascent", extra_starts
     )
     return NormEstimate(
-        q, lower, float(upper), points[0], "ascent", method_upper, nrows, iterations, converged
+        q, lower, upper, points[0], "ascent", method_upper, nrows, iterations, converged
     )
 
 
@@ -377,6 +375,34 @@ def interpolation_upper_low(q, norm1_upper: float, norm2_upper: float, k: int) -
     a = lambda_constant(k, 1) * norm1_upper
     b = lambda_constant(k, 2) * norm2_upper
     return a ** ((2.0 - qf) / qf) * b ** ((2.0 * qf - 2.0) / qf)
+
+
+def certified_upper(p: HomogeneousPolynomial, q) -> tuple[float, str]:
+    """The smallest closed-form upper bound on sup_{||z||_q <= 1} |p(z)| that applies at q.
+
+    Returns (value, method).  The coefficient sum applies at every q; a
+    tighter form replaces it only if strictly smaller: at q = 2 the
+    flattening, at q = 1 the l1-ball bound, and for 1 < q < 2 or
+    2 < q < inf (k >= 2) the Hoelder interpolation between the endpoint
+    bounds, which at large q can exceed the coefficient sum.
+    """
+    q = Exponent.parse(q)
+    coef_sum = p.coefficient_sum
+    if q.is_inf or (p.k < 2 and q.fraction not in (1, 2)):
+        return coef_sum, "coefficient_sum"
+    qf = q.fraction
+    if qf == 1:
+        value, method = l1_ball_upper_bound(p), "l1"
+    else:
+        u2 = min(flattening_upper_bound(p), coef_sum)
+        if qf == 2:
+            value, method = u2, "flattening"
+        elif qf > 2:
+            value, method = interpolation_upper(q, u2, coef_sum, p.k), "interpolation"
+        else:
+            u1 = l1_ball_upper_bound(p)
+            value, method = interpolation_upper_low(q, u1, u2, p.k), "interpolation"
+    return (value, method) if value < coef_sum else (coef_sum, "coefficient_sum")
 
 
 def flattening_upper_bound(p: HomogeneousPolynomial) -> float:

@@ -73,10 +73,6 @@ class HomogeneousPolynomial:
         """sum_J |c_J|, a sup bound on |p| over every unit ball with |z_j| <= 1."""
         return float(np.abs(self._coef).sum()) if self.coeffs else 0.0
 
-    @property
-    def max_coefficient(self) -> float:
-        return float(np.abs(self._coef).max()) if self.coeffs else 0.0
-
     def evaluate(self, z) -> complex:
         z = np.asarray(z, dtype=np.complex128)
         if z.shape != (self.n,):

@@ -23,6 +23,9 @@ from .util import stream
 # psi_2 norm of a single Rademacher sign: E exp(1/c^2) - 1 = 1 at c = 1/sqrt(ln 2)
 RADEMACHER_PSI2 = 1.0 / math.sqrt(math.log(2.0))
 
+# absolute slack for d(z, z') <= max_J |a_J| ||z - z'||_inf in lipschitz_check
+LIPSCHITZ_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class RademacherProcess:
@@ -215,7 +218,7 @@ def lipschitz_check(
     pairs: int,
     seed: int,
     *,
-    tol: float = 1e-12,
+    tol: float = LIPSCHITZ_TOL,
     mc_pairs: int = 3,
     mc_draws: int = 20000,
 ) -> LipschitzReport:

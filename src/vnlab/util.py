@@ -81,14 +81,6 @@ class Exponent:
     def as_float(self) -> float:
         return math.inf if self._value is None else float(self._value)
 
-    def conjugate(self) -> "Exponent":
-        """Hoelder conjugate q' with 1/q + 1/q' = 1."""
-        if self._value is None:
-            return Exponent.finite(1)
-        if self._value == 1:
-            return Exponent.infinity()
-        return Exponent.finite(self._value / (self._value - 1))
-
     def __str__(self) -> str:
         return "inf" if self._value is None else str(self._value)
 

@@ -7,6 +7,7 @@ import pytest
 
 from vnlab import kernels, norms
 from vnlab.norms import (
+    certified_upper,
     estimate_norm,
     exact_norm_quadratic_l2,
     flattening_upper_bound,
@@ -21,6 +22,7 @@ from vnlab.polynomials import (
     random_steiner_polynomial,
 )
 from vnlab.steiner import fano_system, greedy_generate
+from vnlab.util import Exponent
 
 
 def pairs_poly(r):
@@ -135,12 +137,6 @@ def test_extra_start_can_only_help():
     assert seeded.lower >= base.lower - 1e-12
 
 
-def test_upper_bound_argument_caps_reported_upper():
-    p = random_steiner_polynomial(fano_system(), rng=np.random.default_rng(14))
-    est = estimate_norm(p, 2, restarts=3, seed=8, upper_bound=0.9)
-    assert est.upper <= min(0.9, p.coefficient_sum) + 1e-15
-
-
 # ----------------------------------------------------------- multilinear layer
 
 
@@ -231,6 +227,68 @@ def test_interpolation_upper_low_frozen_value():
         interpolation_upper_low(2.5, 1.0, 1.0, 3)
     with pytest.raises(ValueError):
         interpolation_upper_low(1.0, 1.0, 1.0, 3)
+
+
+# ------------------------------------------------------- certified upper bound
+
+
+def selected_denominator(p, q):
+    """The C pipeline's denominator as chosen before certified_upper (the oracle)."""
+    q = Exponent.parse(q)
+    u2 = min(flattening_upper_bound(p), p.coefficient_sum)
+    if q.is_inf:
+        return p.coefficient_sum
+    if q.fraction == 2:
+        return u2
+    if q.fraction > 2:
+        return interpolation_upper(q, u2, p.coefficient_sum, p.k)
+    if q.fraction == 1:
+        return l1_ball_upper_bound(p)
+    return interpolation_upper_low(q, l1_ball_upper_bound(p), u2, p.k)
+
+
+def steiner_poly(k, n, seed):
+    system = greedy_generate(n, k, k - 1, seed=seed)
+    return random_steiner_polynomial(system, rng=np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("q", ["1", "5/4", "3/2", "2", "3", "4", "6", "inf"])
+@pytest.mark.parametrize("k,n,seed", [(3, 7, 1), (3, 13, 2), (3, 25, 3), (4, 8, 1), (4, 13, 2)])
+def test_certified_upper_matches_the_c_pipeline_selection(k, n, seed, q):
+    p = steiner_poly(k, n, seed)
+    value, method = certified_upper(p, q)
+    assert value == selected_denominator(p, q)
+    if q == "2":
+        flat = flattening_upper_bound(p)
+        want = "flattening" if flat < p.coefficient_sum else "coefficient_sum"
+    else:
+        want = {"1": "l1", "inf": "coefficient_sum"}.get(q, "interpolation")
+    assert method == want
+    assert value <= p.coefficient_sum
+    # estimate_norm takes its bracket's upper end from here
+    est = estimate_norm(p, q, restarts=2, max_iter=5, seed=seed)
+    assert (est.upper, est.method_upper) == (value, method)
+
+
+@pytest.mark.parametrize("k,n,seed", [(3, 7, 1), (3, 13, 2), (4, 8, 1), (4, 13, 2)])
+def test_certified_upper_never_exceeds_the_coefficient_sum(k, n, seed):
+    # at q = 20 the interpolated form is above the coefficient sum, which
+    # bounds |p| on every l_q ball
+    p = steiner_poly(k, n, seed)
+    assert selected_denominator(p, 20) > p.coefficient_sum
+    assert certified_upper(p, 20) == (p.coefficient_sum, "coefficient_sum")
+    est = estimate_norm(p, 20, restarts=8, max_iter=400, seed=seed)
+    assert est.lower <= est.upper == p.coefficient_sum
+
+
+def test_certified_upper_zero_and_linear_polynomials():
+    zero = HomogeneousPolynomial(n=3, k=3, coeffs={})
+    for q in ("1", "3/2", "2", "4", "inf"):
+        assert certified_upper(zero, q) == (0.0, "coefficient_sum")
+    # k = 1 has no interpolation constant; the flattening is the l2 norm
+    linear = HomogeneousPolynomial(n=2, k=1, coeffs={(1,): 3.0, (2,): 4.0})
+    assert certified_upper(linear, 2) == (5.0, "flattening")
+    assert certified_upper(linear, 3) == (7.0, "coefficient_sum")
 
 
 # ------------------------------------------------------------ flattening layer

@@ -22,7 +22,7 @@ from vnlab.cli import (
     execute,
     main,
 )
-from vnlab.norms import estimate_norm
+from vnlab.norms import certified_upper, estimate_norm
 from vnlab.polynomials import HomogeneousPolynomial
 from vnlab.report import (
     ExperimentReport,
@@ -167,8 +167,10 @@ def test_cli_norm_q2_reports_flattening(tmp_path, capsys):
     run_cli("poly", "rand", "--system", str(sys_path), "--out", str(poly_path))
     rc = run_cli("norm", "--poly", str(poly_path), "--q", "2", "--restarts", "4")
     assert rc == EXIT_OK
-    body = json.loads(capsys.readouterr().out)
-    assert body["records"][0]["method_upper"] in ("flattening", "coefficient-sum")
+    record = json.loads(capsys.readouterr().out)["records"][0]
+    p = HomogeneousPolynomial.from_json(poly_path.read_text())
+    assert (record["upper"], record["method_upper"]) == certified_upper(p, 2)
+    assert record["method_upper"] == "flattening"
 
 
 def test_cli_dixon_verify_pass_and_fail(tmp_path, capsys):
@@ -362,10 +364,13 @@ SWEEP = {
         pytest.param(SWEEP, "row_restarts", id="row_restarts"),
         pytest.param(SWEEP, "row_iters", id="row_iters"),
         pytest.param({"command": "dixon.verify"}, "scale", id="dixon.verify-scale"),
+        pytest.param(
+            {"command": "norm", "restarts": 2, "max_iter": 20}, "flattening", id="norm-flattening"
+        ),
     ],
 )
 def test_execute_accepts_retired_keys(config, key, tmp_path):
-    if config["command"] == "dixon.verify":
+    if config["command"] in ("dixon.verify", "norm"):
         _, sys_text, _ = execute({"command": "steiner.gen", "n": 7, "k": 3, "t": 2})
         (tmp_path / "d.txt").write_text(sys_text)
         _, poly_text, _ = execute({"command": "poly.rand", "system": str(tmp_path / "d.txt")})
