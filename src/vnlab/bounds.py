@@ -38,14 +38,6 @@ class ScalingFit:
     slope: float
     intercept: float
     residual_rms: float
-    points: tuple
-
-    def to_record(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "residual_rms": self.residual_rms,
-        }
 
 
 def fit_power_law(points) -> ScalingFit:
@@ -59,9 +51,7 @@ def fit_power_law(points) -> ScalingFit:
     lv = np.log([v for _, v in pts])
     slope, intercept = np.polyfit(lx, lv, 1)
     resid = lv - (slope * lx + intercept)
-    return ScalingFit(
-        float(slope), float(intercept), float(np.sqrt((resid**2).mean())), tuple(pts)
-    )
+    return ScalingFit(float(slope), float(intercept), float(np.sqrt((resid**2).mean())))
 
 
 def monotone_inversions(values) -> int:
@@ -376,7 +366,7 @@ def scaling_sweep(
         fit = fit_power_law(medians)
     else:
         # a one-point grid has no growth rate; records and medians still stand
-        fit = ScalingFit(math.nan, math.nan, math.nan, tuple(medians))
+        fit = ScalingFit(math.nan, math.nan, math.nan)
         warnings_list.append("fewer than 2 grid medians: no slope fitted")
     return SweepResult(
         kind=kind,

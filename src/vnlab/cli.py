@@ -190,8 +190,9 @@ def _handle_rademacher_check(cfg):
         _check("lipschitz", lhs, rhs, ratio, lhs <= rhs + rademacher.LIPSCHITZ_TOL)
         for lhs, rhs, ratio in lip.rows
     ]
+    lo, hi = rademacher.PSI2_CORRIDOR
     records += [
-        _check("psi2_l2_ratio", ratio, 4.0, ratio, 0.4 <= ratio <= 4.0)
+        _check("psi2_l2_ratio", ratio, hi, ratio, lo <= ratio <= hi)
         for ratio in lip.psi2_l2_ratios
     ]
     for i in range(cfg["mc_checks"]):
@@ -202,7 +203,7 @@ def _handle_rademacher_check(cfg):
             proc, z, zp, cfg["mc_check_draws"], cfg["seed"] + i
         )
         zscore = abs(mc - closed) / se if se > 0 else 0.0
-        records.append(_check("l2_mc", closed, mc, zscore, zscore <= 3.0))
+        records.append(_check("l2_mc", closed, mc, zscore, zscore <= rademacher.MAX_ZSCORE))
     failed = any(not r["ok"] for r in records)
     summary = {"max_lipschitz_ratio": lip.max_ratio, "violations": lip.violations}
     return _report(cfg, records, text, summary=summary), None, failed

@@ -2,7 +2,7 @@
 
 The central objects are k-homogeneous polynomials whose monomials are
 squarefree products indexed by the blocks of a partial Steiner system and
-whose coefficients are unimodular signs (optionally damped by real weights).
+whose coefficients are unimodular signs.
 """
 
 from __future__ import annotations
@@ -110,31 +110,18 @@ class HomogeneousPolynomial:
             raise ValueError(f"malformed polynomial payload: {exc}") from exc
 
 
-def random_steiner_polynomial(
-    system: PartialSteinerSystem, rng, weights=None
-) -> HomogeneousPolynomial:
-    """Random-sign polynomial c_J * a_J on the blocks of an S_p(k-1, k, n).
+def random_steiner_polynomial(system: PartialSteinerSystem, rng) -> HomogeneousPolynomial:
+    """Random-sign polynomial sum_J eps_J z_J on the blocks of an S_p(k-1, k, n).
 
     Signs are independent uniform {-1, +1}, drawn in canonical block order
-    so the result is reproducible given the generator.  weights is a scalar
-    a applied to every block, or a dict mapping blocks to real a_J (default
-    1.0); zero weights drop the block.
+    so the result is reproducible given the generator (or integer seed).
     """
     if system.t != system.k - 1:
         raise ValueError(f"support must have uniqueness level t = k - 1, got t={system.t}")
     if not isinstance(rng, np.random.Generator):
         rng = stream(int(rng), "steiner-signs", system.n, system.k)
     signs = rng.integers(0, 2, size=len(system.blocks)) * 2 - 1
-    coeffs = {}
-    for block, sign in zip(system.blocks, signs):
-        if weights is None:
-            a = 1.0
-        elif isinstance(weights, dict):
-            a = float(weights.get(block, 0.0))
-        else:
-            a = float(weights)
-        if a != 0.0:
-            coeffs[block] = complex(sign * a)
+    coeffs = {block: complex(sign) for block, sign in zip(system.blocks, signs)}
     return HomogeneousPolynomial(system.n, system.k, coeffs)
 
 

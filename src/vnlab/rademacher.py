@@ -1,10 +1,11 @@
 """Random-sign processes indexed by ball points, and their increment geometry.
 
-For a weighted block family the process is Y_z = (1/k) sum_J eps_J a_J z_J
-with independent Rademacher signs eps_J.  The module provides the closed-form
-L2 increment distance, Monte Carlo cross-checks, an empirical Orlicz psi_2
-norm (Young function exp(t^2) - 1), and a sampled check of the Lipschitz
-domination of the increment distance by the sup distance.
+On the blocks J of a partial Steiner system with t = k - 1 the process is
+Y_z = (1/k) sum_J eps_J z_J with independent Rademacher signs eps_J.  The
+module provides the closed-form L2 increment distance, Monte Carlo
+cross-checks, an empirical Orlicz psi_2 norm (Young function exp(t^2) - 1),
+and a sampled check of the Lipschitz domination of the increment distance by
+the sup distance.
 """
 
 from __future__ import annotations
@@ -23,8 +24,16 @@ from .util import stream
 # psi_2 norm of a single Rademacher sign: E exp(1/c^2) - 1 = 1 at c = 1/sqrt(ln 2)
 RADEMACHER_PSI2 = 1.0 / math.sqrt(math.log(2.0))
 
-# absolute slack for d(z, z') <= max_J |a_J| ||z - z'||_inf in lipschitz_check
+# absolute slack for d(z, z') <= ||z - z'||_inf in lipschitz_check
 LIPSCHITZ_TOL = 1e-12
+
+# relative width at which psi2_norm_mc stops bisecting
+PSI2_REL_TOL = 1e-3
+
+# two-sided sub-Gaussian corridor for an empirical psi_2 / L2 ratio, and the
+# largest z-score of a Monte Carlo L2 increment against its closed form
+PSI2_CORRIDOR = (0.4, 4.0)
+MAX_ZSCORE = 3.0
 
 
 @dataclass(frozen=True)
@@ -32,17 +41,12 @@ class RademacherProcess:
     """Sign process on the blocks of a partial Steiner system with t = k - 1."""
 
     system: PartialSteinerSystem
-    weights: dict | None = None
 
     def __post_init__(self):
         if self.system.t != self.system.k - 1:
             raise ValueError(
                 f"process support must have t = k - 1, got t={self.system.t}"
             )
-        if self.weights is not None:
-            unknown = set(self.weights) - set(self.system.blocks)
-            if unknown:
-                raise ValueError(f"weights given for non-blocks: {sorted(unknown)}")
 
     @property
     def k(self) -> int:
@@ -53,53 +57,31 @@ class RademacherProcess:
         return self.system.n
 
     @cached_property
-    def _blocks(self) -> tuple:
-        if self.weights is None:
-            return self.system.blocks
-        return tuple(b for b in self.system.blocks if self.weights.get(b, 1.0) != 0.0)
-
-    @cached_property
     def _idx0(self) -> np.ndarray:
-        if not self._blocks:
-            return np.zeros((0, self.k), dtype=np.int64)
-        return np.array(self._blocks, dtype=np.int64) - 1
+        return np.array(self.system.blocks, dtype=np.int64).reshape(-1, self.k) - 1
 
-    @cached_property
-    def _amps(self) -> np.ndarray:
-        if self.weights is None:
-            return np.ones(len(self._blocks))
-        return np.array([float(self.weights.get(b, 1.0)) for b in self._blocks])
-
-    @property
-    def max_weight(self) -> float:
-        return float(np.abs(self._amps).max()) if len(self._blocks) else 0.0
-
-    def draw_signs(self, rng) -> np.ndarray:
-        if not isinstance(rng, np.random.Generator):
-            rng = stream(int(rng), "process-signs", self.n, self.k)
-        return rng.integers(0, 2, size=len(self._blocks)) * 2 - 1
+    def draw_signs(self, rng: np.random.Generator) -> np.ndarray:
+        return rng.integers(0, 2, size=len(self.system.blocks)) * 2 - 1
 
     def signed_polynomial(self, signs) -> HomogeneousPolynomial:
-        """The normalized realization (1/k) sum eps_J a_J z_J for given signs."""
-        coeffs = {
-            b: complex(s * a / self.k)
-            for b, s, a in zip(self._blocks, signs, self._amps)
-        }
+        """The normalized realization (1/k) sum eps_J z_J for given signs."""
+        coeffs = {b: complex(s / self.k) for b, s in zip(self.system.blocks, signs)}
         return HomogeneousPolynomial(self.n, self.k, coeffs)
 
-    def _block_products(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=np.complex128)
-        if z.shape != (self.n,):
-            raise ValueError(f"point has shape {z.shape}, expected ({self.n},)")
-        if not self._blocks:
-            return np.zeros(0, dtype=np.complex128)
-        return z[self._idx0].prod(axis=1)
+    def _increment(self, z, zp) -> np.ndarray:
+        """z_J - z'_J for every block J, in block order."""
+        products = []
+        for point in (z, zp):
+            point = np.asarray(point, dtype=np.complex128)
+            if point.shape != (self.n,):
+                raise ValueError(f"point has shape {point.shape}, expected ({self.n},)")
+            products.append(point[self._idx0].prod(axis=1))
+        return products[0] - products[1]
 
 
 def l2_distance(proc: RademacherProcess, z, zp) -> float:
-    """Closed-form L2 increment (1/k) (sum_J |a_J|^2 |z_J - z'_J|^2)^{1/2}."""
-    diff = proc._block_products(z) - proc._block_products(zp)
-    return float(np.sqrt((np.abs(proc._amps * diff) ** 2).sum()) / proc.k)
+    """Closed-form L2 increment (1/k) (sum_J |z_J - z'_J|^2)^{1/2}."""
+    return float(np.sqrt((np.abs(proc._increment(z, zp)) ** 2).sum()) / proc.k)
 
 
 def mc_increment_std(proc: RademacherProcess, z, zp, draws: int, seed: int):
@@ -108,7 +90,7 @@ def mc_increment_std(proc: RademacherProcess, z, zp, draws: int, seed: int):
     The increment is a mean-zero sign sum, so its RMS equals l2_distance;
     the proxy is the delta-method standard error of the RMS estimate.
     """
-    w = proc._amps * (proc._block_products(z) - proc._block_products(zp)) / proc.k
+    w = proc._increment(z, zp) / proc.k
     rng = stream(seed, "increment-mc")
     signs = rng.integers(0, 2, size=(draws, len(w))) * 2 - 1
     samples = np.abs(signs @ w) ** 2
@@ -141,7 +123,7 @@ def _orlicz_gauge(abs_sq: np.ndarray, c: float) -> float:
         return float(np.expm1(abs_sq / (c * c)).mean())
 
 
-def _psi2_from_abs_sq(abs_sq: np.ndarray, rel_tol: float) -> float:
+def _psi2_from_abs_sq(abs_sq: np.ndarray) -> float:
     l2 = math.sqrt(abs_sq.mean())
     if l2 == 0.0:
         return 0.0
@@ -154,7 +136,7 @@ def _psi2_from_abs_sq(abs_sq: np.ndarray, rel_tol: float) -> float:
     while _orlicz_gauge(abs_sq, lo) <= 1.0 and lo > 1e-12 * l2:
         lo *= 0.5
     for _ in range(200):
-        if hi - lo <= rel_tol * hi:
+        if hi - lo <= PSI2_REL_TOL * hi:
             break
         mid = 0.5 * (lo + hi)
         if _orlicz_gauge(abs_sq, mid) <= 1.0:
@@ -164,13 +146,13 @@ def _psi2_from_abs_sq(abs_sq: np.ndarray, rel_tol: float) -> float:
     return hi
 
 
-def psi2_norm_mc(sampler, samples: int, seed: int, rel_tol: float = 1e-3) -> OrliczEstimate:
+def psi2_norm_mc(sampler, samples: int, seed: int) -> OrliczEstimate:
     """Empirical psi_2 norm: smallest c with mean(exp(|Z|^2/c^2) - 1) <= 1.
 
     sampler(rng, size) must return a real or complex sample array.  The
     gauge is monotone in c, so bisection from a bracketed interval converges
-    to the stated relative tolerance.  The standard-error proxy is half the
-    spread between half-sample solutions, and the estimate is flagged
+    to the relative tolerance PSI2_REL_TOL.  The standard-error proxy is half
+    the spread between half-sample solutions, and the estimate is flagged
     unstable when the empirical gauge differs grossly between halves
     (heavy tails making the exponential mean unreliable).
     """
@@ -179,11 +161,11 @@ def psi2_norm_mc(sampler, samples: int, seed: int, rel_tol: float = 1e-3) -> Orl
     abs_sq = np.abs(z) ** 2
     if not abs_sq.any():
         return OrliczEstimate(0.0, samples, 0.0, False)
-    value = _psi2_from_abs_sq(abs_sq, rel_tol)
+    value = _psi2_from_abs_sq(abs_sq)
     half = samples // 2
     if half >= 1:
-        c1 = _psi2_from_abs_sq(abs_sq[:half], rel_tol)
-        c2 = _psi2_from_abs_sq(abs_sq[half:], rel_tol)
+        c1 = _psi2_from_abs_sq(abs_sq[:half])
+        c2 = _psi2_from_abs_sq(abs_sq[half:])
         se_proxy = 0.5 * abs(c1 - c2)
         g1 = _orlicz_gauge(abs_sq[:half], value)
         g2 = _orlicz_gauge(abs_sq[half:], value)
@@ -218,16 +200,17 @@ def lipschitz_check(
     pairs: int,
     seed: int,
     *,
-    tol: float = LIPSCHITZ_TOL,
     mc_pairs: int = 3,
     mc_draws: int = 20000,
 ) -> LipschitzReport:
-    """Sampled check of d(z, z') <= max_J |a_J| * ||z - z'||_inf on ball pairs.
+    """Sampled check of d(z, z') <= ||z - z'||_inf on ball pairs.
 
-    Also reports the empirical psi_2 / L2 ratio of the increment on a few
-    pairs, which should sit inside the two-sided sub-Gaussian corridor.
+    The Lipschitz constant is 1 for a design with blocks and 0 for an empty
+    one, whose pairs are all skipped; a violation is an excess over
+    LIPSCHITZ_TOL.  Also reports the empirical psi_2 / L2 ratio of the
+    increment on a few pairs, which should sit inside PSI2_CORRIDOR.
     """
-    amax = proc.max_weight
+    lip = 1.0 if proc.system.blocks else 0.0
     rows = []
     violations = 0
     max_ratio = 0.0
@@ -236,16 +219,16 @@ def lipschitz_check(
         z = ball_point(stream(seed, "lipschitz", i, 0), proc.n)
         zp = ball_point(stream(seed, "lipschitz", i, 1), proc.n)
         lhs = l2_distance(proc, z, zp)
-        rhs = amax * float(np.abs(z - zp).max())
+        rhs = lip * float(np.abs(z - zp).max())
         if rhs == 0.0:
             continue
         ratio = lhs / rhs
         rows.append((lhs, rhs, ratio))
         max_ratio = max(max_ratio, ratio)
-        if lhs > rhs + tol:
+        if lhs > rhs + LIPSCHITZ_TOL:
             violations += 1
         if i < mc_pairs and lhs > 0.0:
-            w = proc._amps * (proc._block_products(z) - proc._block_products(zp)) / proc.k
+            w = proc._increment(z, zp) / proc.k
 
             def increment_sampler(rng, size, w=w):
                 signs = rng.integers(0, 2, size=(size, len(w))) * 2 - 1

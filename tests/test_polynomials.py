@@ -106,12 +106,6 @@ def test_random_steiner_requires_top_uniqueness():
         random_steiner_polynomial(sys_, rng=np.random.default_rng(0))
 
 
-def test_random_steiner_custom_weights():
-    sys_ = fano_system()
-    p = random_steiner_polynomial(sys_, rng=np.random.default_rng(1), weights=2.5)
-    assert all(abs(c) == 2.5 for c in p.coeffs.values())
-
-
 def test_polarize_single_cross_monomial():
     # p = z1 z2, k = 2: L(e1, e2) = (1/8) sum_eps eps1 eps2 p(eps1 e1 + eps2 e2)
     # = (1/8) * 4 = 1/2, the symmetric-tensor entry of the monomial.

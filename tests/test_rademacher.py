@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from vnlab.polynomials import random_steiner_polynomial
 from vnlab.rademacher import (
     RADEMACHER_PSI2,
     RademacherProcess,
@@ -37,22 +38,6 @@ def test_l2_increment_single_block_hand_value():
     assert l2_distance(proc, z, z) == 0.0
 
 
-def test_l2_increment_scales_with_weights():
-    sys_ = single_block_process().system
-    heavy = RademacherProcess(sys_, weights={(1, 2, 3): 2.0})
-    base = RademacherProcess(sys_)
-    z = np.array([0.5, 0.4 + 0.1j, -0.3j])
-    zp = np.array([0.1, 0.2, 0.3 + 0.2j])
-    assert l2_distance(heavy, z, zp) == pytest.approx(
-        2 * l2_distance(base, z, zp), rel=1e-12
-    )
-
-
-def test_weights_for_unknown_blocks_rejected():
-    with pytest.raises(ValueError):
-        RademacherProcess(fano_system(), weights={(1, 2, 4): 1.0})
-
-
 def test_process_requires_top_uniqueness():
     with pytest.raises(ValueError):
         RademacherProcess(greedy_generate(9, 3, 3, seed=0))
@@ -74,6 +59,19 @@ def test_mc_increment_zero_pair():
     z = np.array([0.3, 0.2, 0.1], dtype=complex)
     got, se = mc_increment_std(proc, z, z, draws=100, seed=0)
     assert got == 0.0 and se == 0.0
+
+
+def test_signed_polynomial_is_the_steiner_polynomial_over_k():
+    # the process and random_steiner_polynomial draw the same signs from one
+    # generator state, and the process divides each coefficient by k
+    designs = (greedy_generate(13, 3, 2, seed=4), greedy_generate(9, 4, 3, seed=1))
+    for sys_ in (fano_system(), *designs):
+        proc = RademacherProcess(sys_)
+        got = proc.signed_polynomial(proc.draw_signs(stream(21, "same-state")))
+        want = random_steiner_polynomial(sys_, stream(21, "same-state"))
+        assert got.support() == want.support() == sys_.blocks
+        for key, c in want.coeffs.items():
+            assert got.coeffs[key] == c / sys_.k
 
 
 # ----------------------------------------------------------------- sup samples
@@ -191,10 +189,3 @@ def test_lipschitz_envelope_holds_on_sampled_pairs():
         assert lhs <= rhs + 1e-12
     for r in rep.psi2_l2_ratios:
         assert 0.4 <= r <= 4.0
-
-
-def test_lipschitz_respects_weights():
-    sys_ = fano_system()
-    proc = RademacherProcess(sys_, weights={b: 0.5 for b in sys_.blocks})
-    rep = lipschitz_check(proc, pairs=100, seed=12)
-    assert rep.violations == 0

@@ -231,6 +231,24 @@ def test_cli_rademacher_check_mc_check_flags(tmp_path, capsys):
     assert sum(r["kind"] == "l2_mc" for r in body["records"]) == 2
 
 
+def test_cli_rademacher_check_on_a_design_without_blocks(tmp_path, capsys):
+    # a t = k - 1 design with no blocks: the process is identically zero,
+    # every Lipschitz pair is skipped and each MC check reads z-score 0
+    sys_path = tmp_path / "empty.txt"
+    sys_path.write_text("6 3 2\n")
+    rc = run_cli(
+        "rademacher", "check", "--system", str(sys_path),
+        "--pairs", "20", "--mc-checks", "2", "--mc-check-draws", "500",
+    )
+    assert rc == EXIT_OK
+    body = json.loads(capsys.readouterr().out)
+    assert not any(r["kind"] == "lipschitz" for r in body["records"])
+    assert body["summary"]["violations"] == 0
+    mc_rows = [r for r in body["records"] if r["kind"] == "l2_mc"]
+    assert len(mc_rows) == 2
+    assert all(r["ratio"] == 0.0 and r["ok"] for r in mc_rows)
+
+
 def test_cli_bounds_sweep_json(capsys):
     rc = run_cli(
         "bounds", "sweep", "--kind", "C", "--q", "inf", "--k", "3",
