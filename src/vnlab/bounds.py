@@ -5,7 +5,9 @@ subject to the joint row contraction condition; C_{k,q}(n) compares against
 sup over the l_q ball subject to sum_j ||T_j||^q <= 1 (max at q = inf).
 Each pipeline builds a random signed block family, certifies the operator
 tuple, and emits one flat record combining measured values, certificates,
-and reference growth exponents.
+and reference growth exponents.  The record keeps the two kinds of sup-norm
+number apart: norm_upper is the certified closed form certified_upper(p, q),
+and norm_lower is the ascent's estimate (estimate_norm).
 
 The D record carries two bound columns.  bound keeps the
 (1 + U)^{-k/2} |J| / U form, which assumes a row condition that is not
@@ -23,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dixon import build_tuple, certify
-from .norms import estimate_norm, flattening_upper_bound
+from .norms import certified_upper, estimate_norm
 from .polynomials import random_steiner_polynomial
 from .steiner import greedy_generate
 from .util import Exponent, stream
@@ -143,7 +145,6 @@ class BoundRecord:
     scale: float
     norm_lower: float
     norm_upper: float
-    upper_flattening: float
     upper_coefficient_sum: float
     commutator_max: float
     opnorm_max_dev: float
@@ -189,13 +190,14 @@ def _lower_bound(
     sum_j ||s T_j||^q = 1 exactly (s = 1 at q = inf), and bound_certified
     = bound.  p(T) = c g e^* on the certified tuple, so direct_norm =
     ||p(T)|| = |c| = |J| and direct_value == bound.  bound_estimate divides
-    by the ascent's lower value instead, an upper-biased quotient.
+    by the ascent's lower value instead, an upper-biased quotient.  U is
+    computed once per cell; the ascent feeds only norm_lower and
+    bound_estimate.
     """
     system, p = _pipeline_inputs(k, n, seed)
     card = system.cardinality
-    flat = flattening_upper_bound(p)
+    upper, _method = certified_upper(p, q)
     est = estimate_norm(p, q, restarts=restarts, max_iter=max_iter, seed=seed)
-    upper = est.upper
     cert = certify(build_tuple(system, p))
     if not cert.ok:
         raise CertificationError(
@@ -226,7 +228,6 @@ def _lower_bound(
         scale=scale,
         norm_lower=est.lower,
         norm_upper=upper,
-        upper_flattening=flat,
         upper_coefficient_sum=p.coefficient_sum,
         commutator_max=cert.commutator,
         opnorm_max_dev=cert.opnorm_max_dev,

@@ -30,36 +30,20 @@ _STEP_GROW = 1.3
 _STEP_SHRINK = 0.5
 _STEP_FLOOR = 1e-18
 _BACKTRACK_LIMIT = 60
+# a restart has converged once an accepted step gains at most this relative amount
+_ASCENT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """Certified bracket lower <= sup |p| <= upper with an attaining witness."""
+    """Ascent lower estimate of sup |p| with a witness that attains it."""
 
     q: Exponent
     lower: float
-    upper: float
     witness: np.ndarray
-    method_lower: str
-    method_upper: str
     restarts: int
     iterations: int
     converged_restarts: int
-
-    def to_record(self) -> dict:
-        return {
-            "q": str(self.q),
-            "lower": self.lower,
-            "upper": self.upper,
-            "method_lower": self.method_lower,
-            "method_upper": self.method_upper,
-            "restarts": self.restarts,
-            "iterations": self.iterations,
-            "converged_restarts": self.converged_restarts,
-        }
-
-    def witness_json(self) -> list:
-        return [{"re": z.real, "im": z.imag} for z in self.witness]
 
 
 @dataclass(frozen=True)
@@ -184,7 +168,7 @@ def _start_rows(shape, qf, restarts, seed, label, extra):
     return np.array(rows, dtype=np.float64).reshape(len(rows), -1)
 
 
-def _maximize(objective, shape, q, restarts, max_iter, tol, seed, label, extra_starts):
+def _maximize(objective, shape, q, restarts, max_iter, seed, label, extra_starts):
     """Multistart ascent of |f| over products of l_q unit spheres.
 
     objective(z, grad) takes points of shape (R, blocks, n) and returns the
@@ -206,7 +190,7 @@ def _maximize(objective, shape, q, restarts, max_iter, tol, seed, label, extra_s
 
     params = _start_rows(shape, qf, restarts, seed, label, extra_starts)
     params, values, iterations, converged = _batched_ascent(
-        params, value_fn, grad_fn, max_iter, tol
+        params, value_fn, grad_fn, max_iter, _ASCENT_TOL
     )
     best = int(np.argmax(values))
     z, _ = _points(params[best : best + 1], qf, shape)
@@ -231,26 +215,23 @@ def estimate_norm(
     *,
     restarts: int = 32,
     max_iter: int = 2000,
-    tol: float = 1e-10,
     seed: int = 0,
     extra_starts=(),
 ) -> NormEstimate:
-    """Bracket sup_{||z||_q <= 1} |p(z)| by ascent (lower) and closed forms (upper).
+    """Lower estimate of sup_{||z||_q <= 1} |p(z)| by multistart ascent.
 
     For q = infinity the search runs over phases only (the maximum modulus
     principle puts a maximizer on the polytorus); for finite q magnitudes are
     reparameterized through a normalized softplus so the iterates stay on the
     unit sphere and the objective stays smooth.  Each restart derives its own
     RNG stream from (seed, restart index).  The witness satisfies the ball
-    constraint and reproduces the reported lower bound by direct evaluation.
-    The upper end of the bracket is certified_upper(p, q).
+    constraint and reproduces the reported lower value by direct evaluation.
+    The result is an estimate only; the certified upper end is
+    certified_upper(p, q), which this function does not compute.
     """
     q = Exponent.parse(q)
-    upper, method_upper = certified_upper(p, q)
-
     if p.term_count == 0:
-        witness = _zero_witness((1, p.n), q)[0]
-        return NormEstimate(q, 0.0, upper, witness, "ascent", method_upper, 0, 0, 0)
+        return NormEstimate(q, 0.0, _zero_witness((1, p.n), q)[0], 0, 0, 0)
 
     def objective(z, grad):
         if not grad:
@@ -259,11 +240,9 @@ def estimate_norm(
         return vals, grads[:, None, :]
 
     points, lower, nrows, iterations, converged = _maximize(
-        objective, (1, p.n), q, restarts, max_iter, tol, seed, "norm-ascent", extra_starts
+        objective, (1, p.n), q, restarts, max_iter, seed, "norm-ascent", extra_starts
     )
-    return NormEstimate(
-        q, lower, upper, points[0], "ascent", method_upper, nrows, iterations, converged
-    )
+    return NormEstimate(q, lower, points[0], nrows, iterations, converged)
 
 
 def multilinear_estimate(
@@ -272,7 +251,6 @@ def multilinear_estimate(
     *,
     restarts: int = 16,
     max_iter: int = 1500,
-    tol: float = 1e-10,
     seed: int = 0,
     extra_starts=(),
 ) -> MultilinearEstimate:
@@ -303,7 +281,7 @@ def multilinear_estimate(
         return form, dform
 
     vectors, value, nrows, iterations, converged = _maximize(
-        objective, (k, n), q, restarts, max_iter, tol, seed, "multilinear-ascent", extra_starts
+        objective, (k, n), q, restarts, max_iter, seed, "multilinear-ascent", extra_starts
     )
     return MultilinearEstimate(q, value, vectors, nrows, iterations, converged)
 

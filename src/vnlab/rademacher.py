@@ -113,8 +113,6 @@ def sample_sup(proc: RademacherProcess, seed: int, **norm_kwargs) -> float:
 @dataclass(frozen=True)
 class OrliczEstimate:
     value: float
-    samples: int
-    se_proxy: float
     unstable: bool
 
 
@@ -151,28 +149,24 @@ def psi2_norm_mc(sampler, samples: int, seed: int) -> OrliczEstimate:
 
     sampler(rng, size) must return a real or complex sample array.  The
     gauge is monotone in c, so bisection from a bracketed interval converges
-    to the relative tolerance PSI2_REL_TOL.  The standard-error proxy is half
-    the spread between half-sample solutions, and the estimate is flagged
-    unstable when the empirical gauge differs grossly between halves
-    (heavy tails making the exponential mean unreliable).
+    to the relative tolerance PSI2_REL_TOL.  The estimate is flagged
+    unstable when the empirical gauge at it differs grossly between the two
+    halves of the sample (heavy tails making the exponential mean
+    unreliable).
     """
     rng = stream(seed, "orlicz-sampler")
     z = np.asarray(sampler(rng, samples))
     abs_sq = np.abs(z) ** 2
     if not abs_sq.any():
-        return OrliczEstimate(0.0, samples, 0.0, False)
+        return OrliczEstimate(0.0, False)
     value = _psi2_from_abs_sq(abs_sq)
     half = samples // 2
+    unstable = False
     if half >= 1:
-        c1 = _psi2_from_abs_sq(abs_sq[:half])
-        c2 = _psi2_from_abs_sq(abs_sq[half:])
-        se_proxy = 0.5 * abs(c1 - c2)
         g1 = _orlicz_gauge(abs_sq[:half], value)
         g2 = _orlicz_gauge(abs_sq[half:], value)
         unstable = not math.isfinite(g1) or not math.isfinite(g2) or abs(g1 - g2) > 0.5
-    else:
-        se_proxy, unstable = 0.0, False
-    return OrliczEstimate(float(value), samples, float(se_proxy), bool(unstable))
+    return OrliczEstimate(float(value), bool(unstable))
 
 
 def ball_point(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -116,7 +116,8 @@ def test_lower_bound_D_record_is_internally_consistent():
     assert rec.direct_value == rec.scale ** 3 * rec.direct_norm / rec.norm_upper
     # certified upper really is an upper bound for the ascent lower value
     assert rec.norm_lower <= rec.norm_upper + 1e-9
-    assert rec.norm_upper <= min(rec.upper_flattening, rec.upper_coefficient_sum) + 1e-12
+    flat = flattening_upper_bound(_pipeline_inputs(3, 9, 11)[1])
+    assert rec.norm_upper <= min(flat, rec.upper_coefficient_sum) + 1e-12
     # the certified column is the reweighted tuple's ||p(W T)|| over the same
     # denominator, and W is at most the identity on every layer
     assert 0 < rec.bound_certified <= rec.direct_norm / rec.norm_upper
@@ -191,7 +192,8 @@ def test_lower_bound_C_infinity_certified_is_unity():
 def test_lower_bound_C_q2_uses_euclidean_denominator():
     rec = lower_bound_C(3, 2, 8, seed=3)
     assert rec.scale == pytest.approx(8 ** -0.5, rel=1e-14)
-    u2 = min(rec.upper_flattening, rec.upper_coefficient_sum)
+    flat = flattening_upper_bound(_pipeline_inputs(3, 8, 3)[1])
+    u2 = min(flat, rec.upper_coefficient_sum)
     assert rec.norm_upper == pytest.approx(u2, rel=1e-13)
     assert rec.bound == pytest.approx(
         rec.scale ** 3 * rec.cardinality / u2, rel=1e-12
@@ -200,7 +202,8 @@ def test_lower_bound_C_q2_uses_euclidean_denominator():
 
 def test_lower_bound_C_interpolated_denominators():
     rec4 = lower_bound_C(3, 4, 8, seed=5)
-    u2 = min(rec4.upper_flattening, rec4.upper_coefficient_sum)
+    flat = flattening_upper_bound(_pipeline_inputs(3, 8, 5)[1])
+    u2 = min(flat, rec4.upper_coefficient_sum)
     want = interpolation_upper(4, u2, rec4.upper_coefficient_sum, 3)
     assert rec4.norm_upper == pytest.approx(want, rel=1e-12)
     rec32 = lower_bound_C(3, 1.5, 8, seed=5)
@@ -310,3 +313,48 @@ def test_sweep_of_certified_column_grows():
     assert res.warnings == ()
     assert res.inversions == 0, res.medians
     assert 0.8 <= res.fit.slope <= 1.4, res.fit.slope
+
+
+def test_flattening_runs_at_most_once_per_cell(monkeypatch):
+    # norm_upper is the only certified number a cell reads from a closed
+    # form, and the ascent computes none, so a cell computes the flattening
+    # once where certified_upper needs it and never otherwise
+    import sys
+
+    import vnlab.norms as norms_mod
+    from vnlab.norms import estimate_norm
+    from vnlab.rademacher import RademacherProcess, sample_sup
+    from vnlab.steiner import greedy_generate
+
+    calls = []
+    real = norms_mod.flattening_upper_bound
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    # every binding in the package, so an import of the function elsewhere counts too
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("vnlab") and getattr(mod, "flattening_upper_bound", None) is real:
+            monkeypatch.setattr(mod, "flattening_upper_bound", counted)
+    norm = {"norm_restarts": 2, "norm_max_iter": 5}
+    cells = [
+        (lambda: lower_bound_D(3, 9, 1, **norm), 1),
+        (lambda: lower_bound_D(4, 8, 1, **norm), 1),
+        (lambda: lower_bound_C(3, 2, 9, 1, **norm), 1),
+        (lambda: lower_bound_C(3, "3/2", 9, 1, **norm), 1),
+        (lambda: lower_bound_C(3, 1, 9, 1, **norm), 0),
+        (lambda: lower_bound_C(3, "inf", 9, 1, **norm), 0),
+    ]
+    for i, (cell, want) in enumerate(cells):
+        calls.clear()
+        cell()
+        assert len(calls) == want, i
+
+    p = _pipeline_inputs(3, 9, 1)[1]
+    calls.clear()
+    for q in ("1", "3/2", "2", "4", "inf"):
+        estimate_norm(p, q, restarts=2, max_iter=5, seed=1)
+    proc = RademacherProcess(greedy_generate(9, 3, 2, seed=1))
+    sample_sup(proc, 1, restarts=2, max_iter=5)
+    assert calls == []

@@ -81,7 +81,7 @@ def test_ascent_hits_quadratic_oracle():
     p = pairs_poly(2)
     est = estimate_norm(p, 2, restarts=8, seed=1)
     assert est.lower == pytest.approx(0.5, abs=1e-6)
-    assert est.lower <= est.upper + 1e-12
+    assert est.lower <= certified_upper(p, 2)[0] + 1e-12
 
 
 def test_ascent_hits_monomial_values():
@@ -97,7 +97,7 @@ def test_ascent_polytorus_pairs():
     p = pairs_poly(2)
     est = estimate_norm(p, "inf", restarts=8, seed=3)
     assert est.lower == pytest.approx(2.0, abs=1e-6)
-    assert est.upper == pytest.approx(2.0, abs=1e-12)  # coefficient-sum cap
+    assert certified_upper(p, "inf")[0] == pytest.approx(2.0, abs=1e-12)  # coefficient-sum cap
 
 
 def test_witness_reproduces_lower_and_respects_ball():
@@ -110,7 +110,7 @@ def test_witness_reproduces_lower_and_respects_ball():
             assert np.max(np.abs(est.witness)) <= 1 + 1e-10
         else:
             assert np.linalg.norm(est.witness, ord=q) <= 1 + 1e-10
-        assert est.lower <= est.upper + 1e-9
+        assert est.lower <= certified_upper(p, q)[0] + 1e-9
 
 
 def test_estimate_is_deterministic_in_seed():
@@ -127,7 +127,7 @@ def test_estimate_is_deterministic_in_seed():
 def test_zero_polynomial_estimate():
     zero = HomogeneousPolynomial(n=3, k=2, coeffs={})
     est = estimate_norm(zero, 2, restarts=2, seed=0)
-    assert est.lower == 0.0 and est.upper == 0.0
+    assert est.lower == 0.0 and certified_upper(zero, 2)[0] == 0.0
 
 
 def test_extra_start_can_only_help():
@@ -265,9 +265,6 @@ def test_certified_upper_matches_the_c_pipeline_selection(k, n, seed, q):
         want = {"1": "l1", "inf": "coefficient_sum"}.get(q, "interpolation")
     assert method == want
     assert value <= p.coefficient_sum
-    # estimate_norm takes its bracket's upper end from here
-    est = estimate_norm(p, q, restarts=2, max_iter=5, seed=seed)
-    assert (est.upper, est.method_upper) == (value, method)
 
 
 @pytest.mark.parametrize("k,n,seed", [(3, 7, 1), (3, 13, 2), (4, 8, 1), (4, 13, 2)])
@@ -278,7 +275,7 @@ def test_certified_upper_never_exceeds_the_coefficient_sum(k, n, seed):
     assert selected_denominator(p, 20) > p.coefficient_sum
     assert certified_upper(p, 20) == (p.coefficient_sum, "coefficient_sum")
     est = estimate_norm(p, 20, restarts=8, max_iter=400, seed=seed)
-    assert est.lower <= est.upper == p.coefficient_sum
+    assert est.lower <= p.coefficient_sum
 
 
 def test_certified_upper_zero_and_linear_polynomials():

@@ -312,6 +312,32 @@ def test_cli_reproducible_records(tmp_path):
     assert outs[0]["input_hash"] == outs[1]["input_hash"]
 
 
+def test_input_hash_covers_file_content_not_path(tmp_path):
+    _, text, _ = execute({"command": "steiner.gen", "n": 13, "k": 3, "t": 2, "seed": 1})
+    paths = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        paths.append(tmp_path / name / "design.txt")
+        paths[-1].write_text(text)
+    # one byte changed: a space becomes a tab, which reads as the same design
+    edited = tmp_path / "edited.txt"
+    edited.write_text(text.replace(" ", "\t", 1))
+    commands = [
+        ("steiner.validate", "path", {}),
+        ("poly.rand", "system", {"seed": 1}),
+        (
+            "rademacher.check",
+            "system",
+            {"pairs": 5, "mc_pairs": 1, "mc_draws": 200, "mc_checks": 1, "mc_check_draws": 200},
+        ),
+    ]
+    for command, key, options in commands:
+        reps = [execute({"command": command, key: str(p), **options})[0] for p in (*paths, edited)]
+        assert reps[0].records == reps[1].records == reps[2].records, command
+        assert reps[0].input_hash == reps[1].input_hash, command
+        assert reps[2].input_hash != reps[0].input_hash, command
+
+
 def test_cli_config_file_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"version": 1, "n": 8, "k": 3, "t": 2, "seed": 1}))
@@ -366,6 +392,22 @@ def test_execute_rejects_unknown_config_key(tmp_path, capsys):
     path.write_text(json.dumps({"version": 1, **cfg}))
     assert run_cli("bounds", "sweep", "--config", str(path)) == EXIT_CONFIG
     assert "norm_restart" in capsys.readouterr().err
+    # the keys of deleted options are unknown keys like any other
+    deleted = [
+        ("bounds.sweep", "row_trials"),
+        ("bounds.sweep", "row_restarts"),
+        ("bounds.sweep", "row_iters"),
+        ("dixon.verify", "scale"),
+        ("norm", "flattening"),
+        ("norm", "tol"),
+    ]
+    for command, key in deleted:
+        with pytest.raises(ConfigError, match=key):
+            execute({"command": command, key: 2})
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({"version": 1, key: 2}))
+        assert run_cli(*command.split("."), "--config", str(path)) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
 
 
 SWEEP = {
@@ -374,26 +416,8 @@ SWEEP = {
 }
 
 
-@pytest.mark.parametrize(
-    "config,key",
-    [
-        pytest.param(SWEEP, "threads", id="threads"),
-        pytest.param(SWEEP, "row_trials", id="row_trials"),
-        pytest.param(SWEEP, "row_restarts", id="row_restarts"),
-        pytest.param(SWEEP, "row_iters", id="row_iters"),
-        pytest.param({"command": "dixon.verify"}, "scale", id="dixon.verify-scale"),
-        pytest.param(
-            {"command": "norm", "restarts": 2, "max_iter": 20}, "flattening", id="norm-flattening"
-        ),
-    ],
-)
+@pytest.mark.parametrize("config,key", [pytest.param(SWEEP, "threads", id="threads")])
 def test_execute_accepts_retired_keys(config, key, tmp_path):
-    if config["command"] in ("dixon.verify", "norm"):
-        _, sys_text, _ = execute({"command": "steiner.gen", "n": 7, "k": 3, "t": 2})
-        (tmp_path / "d.txt").write_text(sys_text)
-        _, poly_text, _ = execute({"command": "poly.rand", "system": str(tmp_path / "d.txt")})
-        (tmp_path / "p.json").write_text(poly_text)
-        config = {**config, "poly": str(tmp_path / "p.json")}
     rep, _, failed = execute({**config, key: 2})
     assert not failed
     assert len(rep.records) == 1
@@ -412,7 +436,7 @@ def test_cli_defaults_come_from_callee_signatures(tmp_path, capsys):
 
     assert run_cli("norm", "--poly", str(poly_path), "--q", "inf") == EXIT_OK
     config = json.loads(capsys.readouterr().out)["config"]
-    for name in ("restarts", "max_iter", "tol", "seed"):
+    for name in ("restarts", "max_iter", "seed"):
         assert config[name] == signature_default(estimate_norm, name), name
 
     rc = run_cli(
