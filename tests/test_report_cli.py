@@ -392,22 +392,24 @@ def test_execute_rejects_unknown_config_key(tmp_path, capsys):
     path.write_text(json.dumps({"version": 1, **cfg}))
     assert run_cli("bounds", "sweep", "--config", str(path)) == EXIT_CONFIG
     assert "norm_restart" in capsys.readouterr().err
-    # the keys of deleted options are unknown keys like any other
-    deleted = [
-        ("bounds.sweep", "row_trials"),
-        ("bounds.sweep", "row_restarts"),
-        ("bounds.sweep", "row_iters"),
-        ("dixon.verify", "scale"),
-        ("norm", "flattening"),
-        ("norm", "tol"),
-    ]
-    for command, key in deleted:
-        with pytest.raises(ConfigError, match=key):
-            execute({"command": command, key: 2})
-        path = tmp_path / f"{key}.json"
-        path.write_text(json.dumps({"version": 1, key: 2}))
-        assert run_cli(*command.split("."), "--config", str(path)) == EXIT_CONFIG
-        assert key in capsys.readouterr().err
+
+
+# the keys of deleted options are unknown keys like any other
+@pytest.mark.parametrize("command,key", [
+    pytest.param("bounds.sweep", "row_trials", id="row_trials"),
+    pytest.param("bounds.sweep", "row_restarts", id="row_restarts"),
+    pytest.param("bounds.sweep", "row_iters", id="row_iters"),
+    pytest.param("dixon.verify", "scale", id="dixon.verify-scale"),
+    pytest.param("norm", "flattening", id="norm-flattening"),
+    pytest.param("norm", "tol", id="norm-tol"),
+])
+def test_execute_rejects_deleted_keys(command, key, tmp_path, capsys):
+    with pytest.raises(ConfigError, match=key):
+        execute({"command": command, key: 2})
+    path = tmp_path / f"{key}.json"
+    path.write_text(json.dumps({"version": 1, key: 2}))
+    assert run_cli(*command.split("."), "--config", str(path)) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
 
 
 SWEEP = {
