@@ -1,9 +1,16 @@
 """Sup-norms of homogeneous polynomials over l_q unit balls.
 
 Lower estimates come from multistart projected gradient ascent on |p(z)|^2
-(by homogeneity the search lives on the unit sphere of the ball); upper
-bounds come from certified closed forms, and certified_upper is the one
-place that picks among them:
+(by homogeneity the search lives on the unit sphere of the ball).  A
+restart ascends in its phases at q = inf and in softplus magnitudes and
+phases at finite q.  At q = 2 this softplus phase only picks the basin:
+it stops at a loose tolerance, and each restart then ascends in plain
+coordinates u on the sphere, z = u / ||u||, until a step gains nothing.
+A normalized gradient step there is the shifted power step of Kolda and
+Mayo, which converges fast inside a basin; started from random points it
+picks worse basins than the softplus phase does.  max_iter caps the
+iterations of both phases together.  Upper bounds come from certified
+closed forms, and certified_upper is the one place that picks among them:
 
   * the coefficient absolute sum (any q),
   * the spectral norm of the coefficient-tensor flattening (q = 2),
@@ -32,6 +39,8 @@ _STEP_FLOOR = 1e-18
 _BACKTRACK_LIMIT = 60
 # a restart has converged once an accepted step gains at most this relative amount
 _ASCENT_TOL = 1e-10
+# at q = 2 the softplus-phase ascent hands a restart to the sphere ascent here
+_HANDOVER_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -124,8 +133,9 @@ def _points(params, qf, shape):
     w, theta = rows[:, :n], rows[:, n:]
     s = np.logaddexp(0.0, w)
     nu = (s**qf).sum(axis=1) ** (1.0 / qf)
-    z = s / nu[:, None] * np.exp(1j * theta)
-    return z.reshape(-1, blocks, n), (w, theta, s, nu)
+    phase = np.exp(1j * theta)
+    z = s / nu[:, None] * phase
+    return z.reshape(-1, blocks, n), (w, phase, s, nu)
 
 
 def _pullback(g, z, aux, qf):
@@ -135,15 +145,42 @@ def _pullback(g, z, aux, qf):
     if qf == math.inf:
         # d|f|^2/dtheta_j for z_j = exp(i theta_j)
         return (-np.imag(g * z.reshape(-1, n))).reshape(nrows, -1)
-    w, theta, s, nu = aux
+    w, phase, s, nu = aux
     # chain rule through magnitudes m = s / ||s||_q with s = softplus(w)
-    radial = np.real(g * np.exp(1j * theta))
+    radial = np.real(g * phase)
     proj = (radial * s).sum(axis=1)
     dw = expit(w) * (
         radial / nu[:, None] - s ** (qf - 1.0) * (proj / nu ** (qf + 1.0))[:, None]
     )
-    dtheta = -np.imag(g * s / nu[:, None] * np.exp(1j * theta))
+    dtheta = -np.imag(g * s / nu[:, None] * phase)
     return np.concatenate([dw, dtheta], axis=1).reshape(nrows, -1)
+
+
+def _sphere_points(params, shape):
+    """Euclidean unit-sphere points of shape (R, blocks, n) from parameter rows.
+
+    A row holds, per block, [Re u, Im u] of a nonzero u in C^n, and the
+    point is u / ||u||.  Returns the points and the norms ||u||, one per
+    block, which _sphere_pullback needs.
+    """
+    blocks, n = shape
+    rows = params.reshape(params.shape[0] * blocks, -1)
+    norm = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    z = (rows[:, :n] + 1j * rows[:, n:]) / norm[:, None]
+    return z.reshape(-1, blocks, n), norm
+
+
+def _sphere_pullback(g, z, norm):
+    """Parameter-row gradient of |f(u / ||u||)|^2 from g = 2 conj(f) df/dz.
+
+    In real coordinates the gradient at z is conj(g); the normalization
+    keeps its part tangent to the sphere and divides it by ||u||.
+    """
+    nrows, n = z.shape[0], z.shape[2]
+    g, z = g.reshape(-1, n), z.reshape(-1, n)
+    radial = np.real(np.einsum("ij,ij->i", z, g))
+    du = (np.conj(g) - radial[:, None] * z) / norm[:, None]
+    return np.concatenate([du.real, du.imag], axis=1).reshape(nrows, -1)
 
 
 def _start_rows(shape, qf, restarts, seed, label, extra):
@@ -176,25 +213,57 @@ def _maximize(objective, shape, q, restarts, max_iter, seed, label, extra_starts
     shape (R, blocks, n).  Returns (points, value, restarts, iterations,
     converged restarts) for the best row, each block normalized to
     ||v||_q = 1 and value = |f| evaluated there.
+
+    Every restart first ascends in the rows of _points.  At q = 2 that
+    phase only picks the basin: it stops at _HANDOVER_TOL or after half of
+    max_iter, and each row then ascends as [Re u, Im u] on the sphere
+    (_sphere_points) until a step gains nothing or max_iter is spent.  The
+    half keeps iterations for the sphere phase when one slow restart holds
+    the others back.  iterations counts both phases, and the converged
+    restarts are those of the last phase.
     """
     qf = q.as_float()
 
-    def value_fn(params):
-        return np.abs(objective(_points(params, qf, shape)[0], False)) ** 2
+    def ascend(params, points_fn, pullback, budget, tol):
+        def value_fn(params):
+            return np.abs(objective(points_fn(params)[0], False)) ** 2
 
-    def grad_fn(params):
-        z, aux = _points(params, qf, shape)
-        vals, grads = objective(z, True)
-        g = 2.0 * np.conj(vals)[:, None, None] * grads
-        return np.abs(vals) ** 2, _pullback(g, z, aux, qf)
+        def grad_fn(params):
+            z, aux = points_fn(params)
+            vals, grads = objective(z, True)
+            g = 2.0 * np.conj(vals)[:, None, None] * grads
+            return np.abs(vals) ** 2, pullback(g, z, aux)
+
+        return _batched_ascent(params, value_fn, grad_fn, budget, tol)
+
+    def softplus_points(params):
+        return _points(params, qf, shape)
+
+    def softplus_pullback(g, z, aux):
+        return _pullback(g, z, aux, qf)
+
+    def sphere_points(params):
+        return _sphere_points(params, shape)
 
     params = _start_rows(shape, qf, restarts, seed, label, extra_starts)
-    params, values, iterations, converged = _batched_ascent(
-        params, value_fn, grad_fn, max_iter, _ASCENT_TOL
-    )
+    if qf != 2.0:
+        params, values, iterations, converged = ascend(
+            params, softplus_points, softplus_pullback, max_iter, _ASCENT_TOL
+        )
+        points_fn = softplus_points
+    else:
+        params, _, iterations, _ = ascend(
+            params, softplus_points, softplus_pullback, max_iter // 2, _HANDOVER_TOL
+        )
+        z = softplus_points(params)[0]
+        params = np.concatenate([z.real, z.imag], axis=-1).reshape(params.shape[0], -1)
+        params, values, sphere_iterations, converged = ascend(
+            params, sphere_points, _sphere_pullback, max_iter - iterations, 0.0
+        )
+        iterations += sphere_iterations
+        points_fn = sphere_points
     best = int(np.argmax(values))
-    z, _ = _points(params[best : best + 1], qf, shape)
-    points = z[0]
+    points = points_fn(params[best : best + 1])[0][0]
     if not q.is_inf:
         points = np.array([v / float(np.linalg.norm(v, ord=qf)) for v in points])
     value = abs(complex(objective(points[None], False)[0]))
@@ -223,7 +292,11 @@ def estimate_norm(
     For q = infinity the search runs over phases only (the maximum modulus
     principle puts a maximizer on the polytorus); for finite q magnitudes are
     reparameterized through a normalized softplus so the iterates stay on the
-    unit sphere and the objective stays smooth.  Each restart derives its own
+    unit sphere and the objective stays smooth.  At q = 2 every restart
+    then continues on the sphere in plain coordinates until a step gains
+    nothing.  max_iter caps the iterations of both phases together;
+    iterations counts both, and converged_restarts counts the restarts
+    whose sphere phase stopped before the cap.  Each restart derives its own
     RNG stream from (seed, restart index).  The witness satisfies the ball
     constraint and reproduces the reported lower value by direct evaluation.
     The result is an estimate only; the certified upper end is

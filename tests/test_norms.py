@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from vnlab import kernels, norms
+from vnlab import bounds, kernels, norms
 from vnlab.norms import (
     certified_upper,
     estimate_norm,
@@ -21,8 +21,9 @@ from vnlab.polynomials import (
     l1_ball_upper_bound,
     random_steiner_polynomial,
 )
+from vnlab.rademacher import RademacherProcess
 from vnlab.steiner import fano_system, greedy_generate
-from vnlab.util import Exponent
+from vnlab.util import Exponent, stream
 
 
 def pairs_poly(r):
@@ -363,6 +364,88 @@ def test_row_norm_certificate_theory():
     assert flattening_upper_bound(p) > est.lower
 
 
+# ----------------------------------------------------- sphere phase at q = 2
+
+
+def single_phase_ascent(p, restarts, max_iter, seed):
+    """The q = 2 ascent without its sphere phase: softplus-phase rows from
+    _start_rows, run to _ASCENT_TOL.  Returns |p| at the best row, found and
+    normalized as estimate_norm does."""
+    qf, shape = 2.0, (1, p.n)
+
+    def value_fn(params):
+        return np.abs(p.evaluate_batch(norms._points(params, qf, shape)[0][:, 0])) ** 2
+
+    def grad_fn(params):
+        z, aux = norms._points(params, qf, shape)
+        vals, grads = p.gradient_batch(z[:, 0])
+        g = 2.0 * np.conj(vals)[:, None, None] * grads[:, None, :]
+        return np.abs(vals) ** 2, norms._pullback(g, z, aux, qf)
+
+    params = norms._start_rows(shape, qf, restarts, seed, "norm-ascent", ())
+    params, values, _, _ = norms._batched_ascent(
+        params, value_fn, grad_fn, max_iter, norms._ASCENT_TOL
+    )
+    best = int(np.argmax(values))
+    z = norms._points(params[best : best + 1], qf, shape)[0][0, 0]
+    return abs(complex(p.evaluate_batch((z / float(np.linalg.norm(z)))[None])[0]))
+
+
+def chaos_draw(n, seed):
+    proc = RademacherProcess(greedy_generate(n, 3, 2, seed=seed))
+    return proc.signed_polynomial(proc.draw_signs(stream(seed, "sup-signs")))
+
+
+@pytest.mark.parametrize(
+    "kind, k, n", [("D", 3, 7), ("D", 3, 13), ("D", 3, 25), ("D", 4, 7), ("chaos", 3, 13)]
+)
+def test_q2_estimate_is_at_least_the_single_phase_ascent(kind, k, n):
+    if kind == "D":
+        p = bounds._pipeline_inputs(k, n, seed=1)[1]
+        kwargs = dict(restarts=16, max_iter=800, seed=1)  # a pipeline cell's ascent
+    else:
+        p = chaos_draw(n, seed=5)
+        kwargs = dict(restarts=32, max_iter=2000, seed=5)  # sample_sup's ascent
+    assert estimate_norm(p, 2, **kwargs).lower >= single_phase_ascent(p, **kwargs)
+
+
+def test_q2_ascent_reaches_exact_values():
+    root = 20260826  # criterion 02's seeds
+    assert abs(estimate_norm(pairs_poly(4), 2, restarts=8, seed=root).lower - 0.5) <= 1e-12
+    for k in (2, 3, 4):
+        got = estimate_norm(monomial_poly(k), 2, restarts=8, seed=root + k).lower
+        assert abs(got - k ** (-k / 2)) <= 1e-12, k
+    # the blocks of a k = 4 pipeline design share no pair; the sup is 1/16,
+    # the value of a single block's monomial
+    assert abs(bounds.lower_bound_D(4, 7, 2).norm_lower - 1 / 16) <= 1e-12
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_sphere_pullback_is_the_gradient(blocks):
+    # central differences of |f(u / ||u||)|^2 with f(z) = sum_b p(z_b), at
+    # rows whose blocks have norms far from 1
+    p = random_steiner_polynomial(fano_system(), rng=np.random.default_rng(21))
+    shape = (blocks, p.n)
+    params = 1.7 * np.random.default_rng(22).normal(size=(3, blocks * 2 * p.n))
+
+    def value(params):
+        z = norms._sphere_points(params, shape)[0]
+        return np.abs(p.evaluate_batch(z.reshape(-1, p.n)).reshape(-1, blocks).sum(axis=1)) ** 2
+
+    z, norm = norms._sphere_points(params, shape)
+    vals, grads = p.gradient_batch(z.reshape(-1, p.n))
+    f = vals.reshape(-1, blocks).sum(axis=1)
+    g = 2.0 * np.conj(f)[:, None, None] * grads.reshape(z.shape)
+    got = norms._sphere_pullback(g, z, norm)
+    h = 1e-6
+    want = np.empty_like(params)
+    for j in range(params.shape[1]):
+        step = np.zeros_like(params)
+        step[:, j] = h
+        want[:, j] = (value(params + step) - value(params - step)) / (2 * h)
+    assert np.allclose(got, want, rtol=1e-6, atol=1e-9)
+
+
 # ---------------------------------------------------------- live-row ascent
 
 
@@ -412,8 +495,9 @@ def full_batch_ascent(params, value_fn, grad_fn, max_iter, tol):
 
 def run_with_loop(monkeypatch, loop, estimator, *args, **kwargs):
     """Run estimator on the ascent loop given.  Returns its result, the
-    loop's (params, values, iterations, converged) for every restart and
-    the number of points sent to the gradient kernel."""
+    loop's (params, values, iterations, converged) for every run of the loop
+    (two at q = 2, one otherwise) and the number of points sent to the
+    gradient kernel."""
     rows, runs = [0], []
     kernel = kernels.poly_eval_grad_batch
 
@@ -429,7 +513,7 @@ def run_with_loop(monkeypatch, loop, estimator, *args, **kwargs):
         m.setattr(kernels, "poly_eval_grad_batch", counted)
         m.setattr(norms, "_batched_ascent", recorded)
         result = estimator(*args, **kwargs)
-    return result, runs[0], rows[0]
+    return result, runs, rows[0]
 
 
 @pytest.mark.parametrize("k, n", [(3, 13), (4, 13)])
@@ -444,8 +528,8 @@ def test_live_row_ascent_equals_full_batch_loop(monkeypatch, k, n, q):
     ]
     for estimator, kwargs in cases:
         args = (estimator, p, q)
-        got, got_run, got_rows = run_with_loop(monkeypatch, norms._batched_ascent, *args, **kwargs)
-        want, want_run, want_rows = run_with_loop(monkeypatch, full_batch_ascent, *args, **kwargs)
+        got, got_runs, got_rows = run_with_loop(monkeypatch, norms._batched_ascent, *args, **kwargs)
+        want, want_runs, want_rows = run_with_loop(monkeypatch, full_batch_ascent, *args, **kwargs)
         if estimator is estimate_norm:
             assert np.array_equal(got.witness, want.witness)
             assert got.lower == want.lower
@@ -454,11 +538,15 @@ def test_live_row_ascent_equals_full_batch_loop(monkeypatch, k, n, q):
             assert got.value == want.value
         assert got.iterations == want.iterations
         assert got.converged_restarts == want.converged_restarts
-        # every restart ends where it ended in the full-batch loop
-        for got_part, want_part in zip(got_run, want_run):
-            assert np.array_equal(got_part, want_part)
+        # at q = 2 the sphere phase runs too, with iterations left to it
+        assert len(got_runs) == len(want_runs) == (2 if q == "2" else 1)
+        assert got_runs[-1][2] > 0
+        # every restart ends each phase where it ended in the full-batch loop
+        for got_run, want_run in zip(got_runs, want_runs):
+            for got_part, want_part in zip(got_run, want_run):
+                assert np.array_equal(got_part, want_part)
         # a converged restart is no longer differentiated
-        if got.converged_restarts:
+        if any(run[3].any() for run in got_runs):
             assert got_rows < want_rows
         else:
             assert got_rows == want_rows
