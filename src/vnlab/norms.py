@@ -3,13 +3,16 @@
 Lower estimates come from multistart projected gradient ascent on |p(z)|^2
 (by homogeneity the search lives on the unit sphere of the ball).  A
 restart ascends in its phases at q = inf and in softplus magnitudes and
-phases at finite q.  At q = 2 this softplus phase only picks the basin:
-it stops at a loose tolerance, and each restart then ascends in plain
-coordinates u on the sphere, z = u / ||u||, until a step gains nothing.
-A normalized gradient step there is the shifted power step of Kolda and
-Mayo, which converges fast inside a basin; started from random points it
-picks worse basins than the softplus phase does.  max_iter caps the
-iterations of both phases together.  Upper bounds come from certified
+phases at finite q.  For 1 < q <= 2 this softplus phase only picks the
+basin: it stops once a step gains little, and each restart then finishes
+in its basin with a step that converges fast there.  At q = 2 that is an
+ascent in plain coordinates u on the sphere, z = u / ||u||, until a step
+gains nothing; its normalized gradient step is the shifted power step of
+Kolda and Mayo, which started from random points picks worse basins than
+the softplus phase does.  For 1 < q < 2 it is that power step carried to
+l_q (_power_step), taken while it raises |p|; the handover comes later
+there, since a power step taken from a saddle's plateau can climb into a
+poorer basin.  max_iter caps the iterations of both phases together.  Upper bounds come from certified
 closed forms, and certified_upper is the one place that picks among them:
 
   * the coefficient absolute sum (any q),
@@ -41,6 +44,11 @@ _BACKTRACK_LIMIT = 60
 _ASCENT_TOL = 1e-10
 # at q = 2 the softplus-phase ascent hands a restart to the sphere ascent here
 _HANDOVER_TOL = 1e-4
+# and for 1 < q < 2 to the l_q power steps here: a single small step can fall on
+# a saddle's plateau, from which a power step may climb into a poorer basin
+_POWER_HANDOVER_TOL = 1e-7
+# the shift of the l_q power step for 1 < q < 2 is beta = _POWER_SHIFT / (q - 1)
+_POWER_SHIFT = 0.5
 
 
 @dataclass(frozen=True)
@@ -183,6 +191,68 @@ def _sphere_pullback(g, z, norm):
     return np.concatenate([du.real, du.imag], axis=1).reshape(nrows, -1)
 
 
+def _power_step(z, f, df, qf):
+    """One shifted l_q power step from the points z (R, blocks, n), 1 < qf < 2.
+
+    f (R,) and df (R, blocks, n) are the values and df/dz at z, and f has
+    total degree k in z.  With a = conj(f) df, a maximizer of |f| on the
+    product of l_q spheres has a = k |f|^2 conj(z) |z|^(q-2) in each block
+    (k |f|^2 = Re sum a z by Euler's identity).  The step adds
+    beta k |f|^2 conj(z) |z|^(q-2) to a, the shift of Kolda and Mayo, and
+    maps the sum b to the point of each block's l_q sphere that is dual to
+    it, w = conj(b) |b|^(q'-2) / ||b||_q'^(q'-1) with q' = q / (q - 1), so
+    that a maximizer is a fixed point.  The shift is 0 where z_j = 0.
+    """
+    nrows, blocks, n = z.shape
+    # one 2-D row per block, as in _points
+    z = z.reshape(-1, n)
+    a = (np.conj(f)[:, None, None] * df).reshape(-1, n)
+    lam = np.real(np.einsum("ij,ij->i", a, z)).reshape(nrows, blocks).sum(axis=1)
+    mag = np.abs(z)
+    shift = np.zeros_like(mag)
+    np.power(mag, qf - 2.0, out=shift, where=mag > 0.0)
+    beta = _POWER_SHIFT / (qf - 1.0)
+    b = a + (beta * np.repeat(lam, blocks))[:, None] * shift * np.conj(z)
+    # w does not change when b is scaled; at max |b_j| = 1 the powers of |b|
+    # neither overflow nor all underflow when q' is large (q near 1)
+    mb = np.abs(b)
+    top = mb.max(axis=1)[:, None]
+    b, mb = b / top, mb / top
+    dual = qf / (qf - 1.0)
+    norm = (mb**dual).sum(axis=1) ** (1.0 / qf)
+    w = np.conj(b) * mb ** (dual - 2.0) / norm[:, None]
+    return w.reshape(nrows, blocks, n)
+
+
+def _power_ascent(objective, z, qf, max_iter):
+    """Shifted l_q power iteration (_power_step) on the rows of z, 1 < qf < 2.
+
+    objective is _maximize's.  A row takes its step only if |f| rises
+    there; otherwise it stops and counts as converged, as does a row
+    with f = 0.  Each iteration differentiates the live rows only, at
+    their steps, which gives both the test and the next step; every
+    operation treats each block's row on its own, so the result equals
+    that of stepping every row in every iteration.  Returns (points,
+    values |f|, iterations, converged mask).
+    """
+    z = np.array(z, dtype=np.complex128)
+    f, df = objective(z, True)
+    values = np.abs(f)
+    live = np.flatnonzero(values > 0.0)
+    df = df[live]
+    iterations = 0
+    while live.size and iterations < max_iter:
+        iterations += 1
+        w = _power_step(z[live], f[live], df, qf)
+        fw, dfw = objective(w, True)
+        up = np.abs(fw) > values[live]
+        live = live[up]
+        z[live], f[live], values[live], df = w[up], fw[up], np.abs(fw[up]), dfw[up]
+    converged = np.ones(z.shape[0], dtype=bool)
+    converged[live] = False
+    return z, values, iterations, converged
+
+
 def _start_rows(shape, qf, restarts, seed, label, extra):
     """Random parameter rows plus rows encoding caller-supplied start points."""
     rows = []
@@ -214,13 +284,15 @@ def _maximize(objective, shape, q, restarts, max_iter, seed, label, extra_starts
     converged restarts) for the best row, each block normalized to
     ||v||_q = 1 and value = |f| evaluated there.
 
-    Every restart first ascends in the rows of _points.  At q = 2 that
-    phase only picks the basin: it stops at _HANDOVER_TOL or after half of
-    max_iter, and each row then ascends as [Re u, Im u] on the sphere
-    (_sphere_points) until a step gains nothing or max_iter is spent.  The
-    half keeps iterations for the sphere phase when one slow restart holds
-    the others back.  iterations counts both phases, and the converged
-    restarts are those of the last phase.
+    Every restart first ascends in the rows of _points.  For 1 < q <= 2
+    that phase only picks the basin: it stops at _HANDOVER_TOL (q = 2) or
+    _POWER_HANDOVER_TOL or after half of max_iter, and a second phase runs
+    until a step gains nothing or max_iter is spent.  At q = 2 each row
+    ascends as [Re u, Im u] on the sphere (_sphere_points); for 1 < q < 2
+    each point takes shifted l_q power steps (_power_ascent).  The half
+    keeps iterations for the second phase when one slow restart holds the
+    others back.  iterations counts both phases, and the converged restarts
+    are those of the last phase.
     """
     qf = q.as_float()
 
@@ -245,23 +317,33 @@ def _maximize(objective, shape, q, restarts, max_iter, seed, label, extra_starts
     def sphere_points(params):
         return _sphere_points(params, shape)
 
+    def same_points(z):
+        return z, None
+
     params = _start_rows(shape, qf, restarts, seed, label, extra_starts)
-    if qf != 2.0:
+    if not 1.0 < qf <= 2.0:
         params, values, iterations, converged = ascend(
             params, softplus_points, softplus_pullback, max_iter, _ASCENT_TOL
         )
         points_fn = softplus_points
     else:
+        handover = _HANDOVER_TOL if qf == 2.0 else _POWER_HANDOVER_TOL
         params, _, iterations, _ = ascend(
-            params, softplus_points, softplus_pullback, max_iter // 2, _HANDOVER_TOL
+            params, softplus_points, softplus_pullback, max_iter // 2, handover
         )
         z = softplus_points(params)[0]
-        params = np.concatenate([z.real, z.imag], axis=-1).reshape(params.shape[0], -1)
-        params, values, sphere_iterations, converged = ascend(
-            params, sphere_points, _sphere_pullback, max_iter - iterations, 0.0
-        )
-        iterations += sphere_iterations
-        points_fn = sphere_points
+        if qf == 2.0:
+            params = np.concatenate([z.real, z.imag], axis=-1).reshape(params.shape[0], -1)
+            params, values, last_iterations, converged = ascend(
+                params, sphere_points, _sphere_pullback, max_iter - iterations, 0.0
+            )
+            points_fn = sphere_points
+        else:
+            params, values, last_iterations, converged = _power_ascent(
+                objective, z, qf, max_iter - iterations
+            )
+            points_fn = same_points
+        iterations += last_iterations
     best = int(np.argmax(values))
     points = points_fn(params[best : best + 1])[0][0]
     if not q.is_inf:
@@ -292,12 +374,13 @@ def estimate_norm(
     For q = infinity the search runs over phases only (the maximum modulus
     principle puts a maximizer on the polytorus); for finite q magnitudes are
     reparameterized through a normalized softplus so the iterates stay on the
-    unit sphere and the objective stays smooth.  At q = 2 every restart
-    then continues on the sphere in plain coordinates until a step gains
-    nothing.  max_iter caps the iterations of both phases together;
-    iterations counts both, and converged_restarts counts the restarts
-    whose sphere phase stopped before the cap.  Each restart derives its own
-    RNG stream from (seed, restart index).  The witness satisfies the ball
+    unit sphere and the objective stays smooth.  For 1 < q <= 2 every
+    restart then finishes in its basin until a step gains nothing: at
+    q = 2 on the sphere in plain coordinates, for 1 < q < 2 by shifted
+    l_q power steps.  max_iter caps the iterations of both phases
+    together; iterations counts both, and converged_restarts counts the
+    restarts whose last phase stopped before the cap.  Each restart
+    derives its own RNG stream from (seed, restart index).  The witness satisfies the ball
     constraint and reproduces the reported lower value by direct evaluation.
     The result is an estimate only; the certified upper end is
     certified_upper(p, q), which this function does not compute.
