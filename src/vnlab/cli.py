@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: steiner gen | steiner validate | poly rand | norm |
-dixon verify | rademacher check | bounds sweep | bench.  Global flags:
+dixon verify | rademacher check | bounds sweep.  Global flags:
 --seed (always explicit, default 0), --out, --format, --config.
 A JSON config file supplies values keyed by option name in underscore
 form (--max-iter is max_iter), and CLI flags override file values.  A key
@@ -23,7 +23,6 @@ import sys
 import time
 from pathlib import Path
 
-from . import bench as bench_mod
 from . import bounds, dixon, norms, rademacher, steiner
 from .polynomials import HomogeneousPolynomial, random_steiner_polynomial
 from .report import ExperimentReport, content_hash
@@ -245,21 +244,10 @@ def _handle_bounds_sweep(cfg):
     return rep, None, False
 
 
-def _handle_bench(cfg):
-    records = bench_mod.run_bench(
-        nvar=cfg["nvar"],
-        terms=cfg["terms"],
-        batch=cfg["batch"],
-        k=cfg["k"],
-        repeats=cfg["repeats"],
-    )
-    return _report(cfg, records), None, False
-
-
 def _signature_defaults(fn, *names) -> dict:
-    """The defaults fn declares for the named parameters (all of them if none named)."""
+    """The defaults fn declares for the named parameters."""
     params = inspect.signature(fn).parameters
-    return {name: params[name].default for name in names or params}
+    return {name: params[name].default for name in names}
 
 
 # Option specs besides an argparse type: a tuple of choices and this one.
@@ -322,11 +310,6 @@ _COMMANDS = {
             ),
         },
     ),
-    "bench": (
-        _handle_bench,
-        {"nvar": int, "terms": int, "batch": int, "k": int, "repeats": int},
-        _signature_defaults(bench_mod.run_bench),
-    ),
 }
 
 _GROUP_HELP = {
@@ -336,7 +319,6 @@ _GROUP_HELP = {
     "dixon": "operator tuple certification",
     "rademacher": "sign-process checks",
     "bounds": "lower-bound pipelines",
-    "bench": "kernel timings",
 }
 
 

@@ -191,12 +191,3 @@ def test_kernels_are_row_independent(k, n):
             assert np.array_equal(kernels.poly_eval_batch(coef, idx, points), want[rows])
             assert np.array_equal(vals, want_vals[rows])
             assert np.array_equal(grads, want_grads[rows])
-
-
-def test_bench_runs_and_reports_speedup():
-    from vnlab.bench import run_bench
-
-    records = run_bench(nvar=8, terms=12, batch=8, k=3, repeats=2)
-    assert [r["backend"] for r in records] == ["python"]
-    for r in records:
-        assert r["eval_us"] > 0 and r["eval_grad_us"] > 0

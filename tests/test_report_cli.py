@@ -261,14 +261,6 @@ def test_cli_bounds_sweep_json(capsys):
     assert math.isfinite(body["summary"]["slope"])
 
 
-def test_cli_bench(capsys):
-    rc = run_cli("bench", "--nvar", "6", "--terms", "8", "--batch", "4", "--repeats", "1")
-    assert rc == EXIT_OK
-    body = json.loads(capsys.readouterr().out)
-    assert len(body["records"]) == 1
-    assert any(r["backend"] == "python" for r in body["records"])
-
-
 def readme_commands():
     """Every `vnlab ...` line of the README's sh blocks, continuations joined."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -285,7 +277,7 @@ def readme_commands():
 def test_readme_commands_parse():
     commands = readme_commands()
     groups = {argv[0] for argv in commands}
-    assert groups == {"steiner", "poly", "norm", "dixon", "rademacher", "bounds", "bench"}
+    assert groups == {"steiner", "poly", "norm", "dixon", "rademacher", "bounds"}
     parser = _build_parser()
     for argv in commands:
         try:
@@ -410,6 +402,16 @@ def test_execute_rejects_deleted_keys(command, key, tmp_path, capsys):
     path.write_text(json.dumps({"version": 1, key: 2}))
     assert run_cli(*command.split("."), "--config", str(path)) == EXIT_CONFIG
     assert key in capsys.readouterr().err
+
+
+def test_execute_rejects_deleted_bench_command():
+    with pytest.raises(ConfigError, match="bench"):
+        execute({"command": "bench"})
+
+
+def test_cli_rejects_deleted_bench_command(capsys):
+    assert run_cli("bench") == EXIT_CONFIG
+    assert "bench" in capsys.readouterr().err
 
 
 SWEEP = {
