@@ -75,22 +75,6 @@ class ReferenceExponents:
     d_lower: Fraction | None
     d_lower_log_power: Fraction | None
 
-    def to_record(self) -> dict:
-        def fmt(x):
-            return None if x is None else str(x)
-
-        return {
-            "k": self.k,
-            "q": str(self.q),
-            "classical_lower": fmt(self.classical_lower),
-            "classical_upper": fmt(self.classical_upper),
-            "improved_lower": fmt(self.improved_lower),
-            "improved_lower_log_power": fmt(self.improved_lower_log_power),
-            "d_upper": fmt(self.d_upper),
-            "d_lower": fmt(self.d_lower),
-            "d_lower_log_power": fmt(self.d_lower_log_power),
-        }
-
 
 def reference_exponents(k: int, q) -> ReferenceExponents:
     """Exponent table for C_{k,q}(n) (two-sided) and D_k(n) (upper, and lower at q=2)."""
@@ -332,8 +316,12 @@ def scaling_sweep(
     if fit_column not in BoundRecord.__dataclass_fields__:
         raise ValueError(f"unknown fit column {fit_column!r}")
     n_values = [int(n) for n in n_values]
+    if not n_values:
+        raise ValueError("n_values is empty: the grid has no n to run")
     if seeds_per_n < 1:
         raise ValueError("seeds_per_n must be >= 1")
+    if norm_restarts < 1:
+        raise ValueError(f"norm_restarts must be >= 1, got {norm_restarts}")
     if k < 3 or any(n < k for n in n_values):
         raise ValueError(f"need n >= k >= 3 on the whole grid, got k={k} n={n_values}")
 

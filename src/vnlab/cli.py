@@ -224,6 +224,7 @@ def _handle_bounds_sweep(cfg):
         n_values = [int(x) for x in str(cfg["n_list"]).replace(",", " ").split()]
     else:
         _require(cfg, "n_min", "n_max")
+        _positive_int(cfg, "n_step")
         step = cfg.get("n_step") or 1
         n_values = list(range(cfg["n_min"], cfg["n_max"] + 1, step))
     _require(cfg, "k")

@@ -16,11 +16,10 @@ poorer basin.  max_iter caps the iterations of both phases together.  Upper boun
 closed forms, and certified_upper is the one place that picks among them:
 
   * the coefficient absolute sum (any q),
-  * the spectral norm of the coefficient-tensor flattening (q = 2),
+  * the spectral norm of the coefficient-tensor flattening (q = 2), which
+    is the exact Euclidean sup at k = 2,
   * the l1-ball bound max_J |c_J| mult(J)! / k! (q = 1),
   * Hoelder interpolation between certified endpoint bounds.
-
-The quadratic case (q = 2, k = 2) also has an exact value from singular values.
 """
 
 from __future__ import annotations
@@ -28,12 +27,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .polynomials import HomogeneousPolynomial, l1_ball_upper_bound, polarization_signs
+from .polynomials import HomogeneousPolynomial, polarization_signs
 from .util import Exponent, stream
 
 _STEP_GROW = 1.3
@@ -53,23 +53,15 @@ _POWER_SHIFT = 0.5
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """Ascent lower estimate of sup |p| with a witness that attains it."""
+    """Ascent lower estimate of a sup with a witness that attains it.
+
+    The witness is a point (n,) for estimate_norm and k vectors (k, n) for
+    multilinear_estimate.
+    """
 
     q: Exponent
     lower: float
     witness: np.ndarray
-    restarts: int
-    iterations: int
-    converged_restarts: int
-
-
-@dataclass(frozen=True)
-class MultilinearEstimate:
-    """Ascent lower estimate for the sup of the polarized multilinear form."""
-
-    q: Exponent
-    value: float
-    vectors: np.ndarray
     restarts: int
     iterations: int
     converged_restarts: int
@@ -294,6 +286,8 @@ def _maximize(objective, shape, q, restarts, max_iter, seed, label, extra_starts
     others back.  iterations counts both phases, and the converged restarts
     are those of the last phase.
     """
+    if restarts < 1 and len(extra_starts) == 0:
+        raise ValueError(f"restarts must be >= 1 when no extra starts are given, got {restarts}")
     qf = q.as_float()
 
     def ascend(params, points_fn, pullback, budget, tol):
@@ -409,19 +403,20 @@ def multilinear_estimate(
     max_iter: int = 1500,
     seed: int = 0,
     extra_starts=(),
-) -> MultilinearEstimate:
+) -> NormEstimate:
     """Ascent lower estimate for sup |L(z1, ..., zk)| over k unit-ball vectors.
 
     L is the symmetric multilinear form whose diagonal is p, evaluated by
     sign averaging; each of the k vectors is constrained to its own l_q ball
-    with the same parameterizations as estimate_norm.  extra_starts entries
-    are (k, n) arrays; seeding one restart from a polynomial witness z
-    (repeated k times) makes the estimate start at the diagonal value.
+    with the same parameterizations as estimate_norm, and the witness holds
+    the k vectors.  extra_starts entries are (k, n) arrays; seeding one
+    restart from a polynomial witness z (repeated k times) makes the
+    estimate start at the diagonal value.
     """
     q = Exponent.parse(q)
     k, n = p.k, p.n
     if p.term_count == 0:
-        return MultilinearEstimate(q, 0.0, _zero_witness((k, n), q), 0, 0, 0)
+        return NormEstimate(q, 0.0, _zero_witness((k, n), q), 0, 0, 0)
     signs, parity, count = polarization_signs(k)
     scale = 1.0 / count
 
@@ -439,27 +434,7 @@ def multilinear_estimate(
     vectors, value, nrows, iterations, converged = _maximize(
         objective, (k, n), q, restarts, max_iter, seed, "multilinear-ascent", extra_starts
     )
-    return MultilinearEstimate(q, value, vectors, nrows, iterations, converged)
-
-
-def exact_norm_quadratic_l2(p: HomogeneousPolynomial) -> float:
-    """Exact sup of a 2-homogeneous polynomial on the Euclidean ball.
-
-    Writing p(z) = z^T A z with A complex symmetric, the sup equals the
-    largest singular value of A (Takagi factorization).
-    """
-    if p.k != 2:
-        raise ValueError(f"exact quadratic norm requires k = 2, got k={p.k}")
-    a = np.zeros((p.n, p.n), dtype=np.complex128)
-    for (i, j), c in p.coeffs.items():
-        if i == j:
-            a[i - 1, i - 1] = c
-        else:
-            a[i - 1, j - 1] = c / 2.0
-            a[j - 1, i - 1] = c / 2.0
-    if not p.coeffs:
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    return NormEstimate(q, value, vectors, nrows, iterations, converged)
 
 
 def lambda_constant(k: int, q) -> float:
@@ -478,37 +453,24 @@ def lambda_constant(k: int, q) -> float:
     return float(k**k) / math.factorial(k)
 
 
-def interpolation_upper(q, norm2_upper: float, norminf_upper: float, k: int) -> float:
-    """Upper bound for the l_q sup, 2 < q < inf, from l_2 and l_inf bounds.
+def interpolation_upper(q, low, high, k: int) -> float:
+    """Upper bound for the l_q sup from certified bounds at q0 < q < q1.
 
-    Hoelder interpolation of the multilinear form gives
-    (lam(k,2) U_2)^{2/q} (lam(k,inf) U_inf)^{(q-2)/q}.
+    low = (q0, U0) and high = (q1, U1).  Hoelder interpolation of the
+    multilinear form gives (lam(k,q0) U0)^{1-t} (lam(k,q1) U1)^t, where
+    1/q = (1-t)/q0 + t/q1; t is computed exactly from the exponents.
     """
-    q = Exponent.parse(q)
-    if q.is_inf or not (2 < q.fraction):
-        raise ValueError(f"interpolation requires 2 < q < inf, got q={q}")
-    if norm2_upper < 0 or norminf_upper < 0:
+    (q0, u0), (q1, u1) = low, high
+    q, q0, q1 = (Exponent.parse(x) for x in (q, q0, q1))
+    inv, inv0, inv1 = (Fraction(0) if x.is_inf else 1 / x.fraction for x in (q, q0, q1))
+    if not inv0 > inv > inv1:
+        raise ValueError(f"interpolation requires q0 < q < q1, got {q0}, {q}, {q1}")
+    if u0 < 0 or u1 < 0:
         raise ValueError("norm upper bounds must be nonnegative")
-    qf = q.as_float()
-    a = lambda_constant(k, 2) * norm2_upper
-    b = lambda_constant(k, Exponent.infinity()) * norminf_upper
-    return a ** (2.0 / qf) * b ** ((qf - 2.0) / qf)
-
-
-def interpolation_upper_low(q, norm1_upper: float, norm2_upper: float, k: int) -> float:
-    """Upper bound for the l_q sup, 1 < q < 2, from l_1 and l_2 bounds.
-
-    Hoelder interpolation gives (lam(k,1) U_1)^{(2-q)/q} (lam(k,2) U_2)^{(2q-2)/q}.
-    """
-    q = Exponent.parse(q)
-    if q.is_inf or not (1 < q.fraction < 2):
-        raise ValueError(f"interpolation requires 1 < q < 2, got q={q}")
-    if norm1_upper < 0 or norm2_upper < 0:
-        raise ValueError("norm upper bounds must be nonnegative")
-    qf = q.as_float()
-    a = lambda_constant(k, 1) * norm1_upper
-    b = lambda_constant(k, 2) * norm2_upper
-    return a ** ((2.0 - qf) / qf) * b ** ((2.0 * qf - 2.0) / qf)
+    t = (inv0 - inv) / (inv0 - inv1)
+    a = lambda_constant(k, q0) * u0
+    b = lambda_constant(k, q1) * u1
+    return a ** float(1 - t) * b ** float(t)
 
 
 def certified_upper(p: HomogeneousPolynomial, q) -> tuple[float, str]:
@@ -532,11 +494,28 @@ def certified_upper(p: HomogeneousPolynomial, q) -> tuple[float, str]:
         if qf == 2:
             value, method = u2, "flattening"
         elif qf > 2:
-            value, method = interpolation_upper(q, u2, coef_sum, p.k), "interpolation"
+            value = interpolation_upper(q, (2, u2), ("inf", coef_sum), p.k)
+            method = "interpolation"
         else:
-            u1 = l1_ball_upper_bound(p)
-            value, method = interpolation_upper_low(q, u1, u2, p.k), "interpolation"
+            value = interpolation_upper(q, (1, l1_ball_upper_bound(p)), (2, u2), p.k)
+            method = "interpolation"
     return (value, method) if value < coef_sum else (coef_sum, "coefficient_sum")
+
+
+def _multiplicity_factorial(key) -> int:
+    """mult(J)!: the product of the factorials of the index multiplicities of J."""
+    return math.prod(math.factorial(key.count(x)) for x in set(key))
+
+
+def l1_ball_upper_bound(p: HomogeneousPolynomial) -> float:
+    """Upper bound on sup of |p| over the unit l1 ball: max_J |c_J| * mult(J)! / k!.
+
+    For squarefree unimodular monomials the bound is 1/k!.  It is not the
+    sup: for z1 z2 z3 the sup is 1/27 and the bound is 1/6.
+    """
+    kfact = math.factorial(p.k)
+    per_term = (abs(c) * _multiplicity_factorial(key) / kfact for key, c in p.coeffs.items())
+    return max(per_term, default=0.0)
 
 
 def flattening_upper_bound(p: HomogeneousPolynomial) -> float:
@@ -544,7 +523,9 @@ def flattening_upper_bound(p: HomogeneousPolynomial) -> float:
 
     The symmetric coefficient tensor of p is unfolded into an n x n^{k-1}
     matrix M; since |p(z)| = |z^T M z^{otimes(k-1)}| <= sigma_max(M) ||z||^k,
-    the largest singular value certifies the Euclidean sup.  For unit-weight
+    the largest singular value certifies the Euclidean sup.  At k = 2, M is
+    the symmetric matrix A of p(z) = z^T A z and the bound is exact:
+    sup |z^T A z| = sigma_max(A) (Takagi factorization).  For unit-weight
     supports on a partial Steiner system with t = k - 1 the Gram matrix
     M M^* is diagonal and the bound is max_i sqrt(deg(i) / (k * k!)).
     """
@@ -556,10 +537,7 @@ def flattening_upper_bound(p: HomogeneousPolynomial) -> float:
     rows, cols, data = [], [], []
     kfact = math.factorial(k)
     for key, c in p.coeffs.items():
-        mult_fact = 1
-        for x in set(key):
-            mult_fact *= math.factorial(key.count(x))
-        entry = c * (mult_fact / kfact)
+        entry = c * (_multiplicity_factorial(key) / kfact)
         for perm in set(itertools.permutations(key)):
             rows.append(perm[0] - 1)
             col = 0

@@ -152,21 +152,3 @@ def polarize_evaluate(p: HomogeneousPolynomial, vectors) -> complex:
     signs, parity, count = polarization_signs(p.k)
     vals = p.evaluate_batch(signs @ vecs)
     return complex((parity * vals).sum() / count)
-
-
-def l1_ball_upper_bound(p: HomogeneousPolynomial) -> float:
-    """Upper bound on sup of |p| over the unit l1 ball: max_J |c_J| * mult(J)! / k!.
-
-    mult(J)! is the product of factorials of the exponent multiplicities;
-    for squarefree unimodular monomials the bound is 1/k!.  It is not the
-    sup: for z1 z2 z3 the sup is 1/27 and the bound is 1/6.
-    """
-    if not p.coeffs:
-        return 0.0
-    best = 0.0
-    for key, val in p.coeffs.items():
-        mult_fact = 1
-        for x in set(key):
-            mult_fact *= math.factorial(key.count(x))
-        best = max(best, abs(val) * mult_fact / math.factorial(p.k))
-    return best

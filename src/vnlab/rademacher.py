@@ -88,8 +88,11 @@ def mc_increment_std(proc: RademacherProcess, z, zp, draws: int, seed: int):
     """Monte Carlo root-mean-square of Y_z - Y_{z'} and a standard-error proxy.
 
     The increment is a mean-zero sign sum, so its RMS equals l2_distance;
-    the proxy is the delta-method standard error of the RMS estimate.
+    the proxy is the delta-method standard error of the RMS estimate, which
+    needs draws >= 2.
     """
+    if draws < 2:
+        raise ValueError(f"draws must be >= 2 for a standard error, got {draws}")
     w = proc._increment(z, zp) / proc.k
     rng = stream(seed, "increment-mc")
     signs = rng.integers(0, 2, size=(draws, len(w))) * 2 - 1

@@ -83,6 +83,3 @@ class Exponent:
 
     def __str__(self) -> str:
         return "inf" if self._value is None else str(self._value)
-
-    def __float__(self) -> float:
-        return self.as_float()

@@ -17,17 +17,12 @@ from vnlab.cli import execute
 from vnlab.dixon import build_tuple, verify_report
 from vnlab.norms import (
     estimate_norm,
-    exact_norm_quadratic_l2,
     flattening_upper_bound,
     interpolation_upper,
-    interpolation_upper_low,
+    l1_ball_upper_bound,
     multilinear_estimate,
 )
-from vnlab.polynomials import (
-    HomogeneousPolynomial,
-    l1_ball_upper_bound,
-    random_steiner_polynomial,
-)
+from vnlab.polynomials import HomogeneousPolynomial, random_steiner_polynomial
 from vnlab.rademacher import (
     RADEMACHER_PSI2,
     RademacherProcess,
@@ -95,7 +90,7 @@ def test_criterion_02_exact_norm_values():
     pairs = HomogeneousPolynomial(
         n=8, k=2, coeffs={(1, 2): 1.0, (3, 4): 1.0, (5, 6): 1.0, (7, 8): 1.0}
     )
-    exact = exact_norm_quadratic_l2(pairs)
+    exact = flattening_upper_bound(pairs)  # exact at k = 2
     assert abs(exact - 0.5) <= 1e-12
     est = estimate_norm(pairs, 2, restarts=8, seed=ROOT_SEED)
     assert abs(est.lower - 0.5) <= 1e-6
@@ -124,7 +119,7 @@ def test_criterion_03_polynomial_vs_multilinear_at_q2():
         mul = multilinear_estimate(
             p, 2, restarts=5, seed=i, extra_starts=[np.tile(est.witness, (3, 1))]
         )
-        gap = abs(mul.value - est.lower)
+        gap = abs(mul.lower - est.lower)
         assert gap <= 1e-3, (i, gap)
         worst = max(worst, gap)
     _pass(3, f"20 random cubic instances, worst |multilinear - polynomial| "
@@ -253,11 +248,11 @@ def test_criterion_09_interpolation_soundness():
         u1 = l1_ball_upper_bound(p)
         for q in (3, 4, 6):
             est = estimate_norm(p, q, restarts=8, seed=i)
-            upper = interpolation_upper(q, u2, p.coefficient_sum, 3)
+            upper = interpolation_upper(q, (2, u2), ("inf", p.coefficient_sum), 3)
             assert est.lower <= upper + 1e-9, (i, q, est.lower, upper)
         for q in (1.25, 1.5, 1.75):
             est = estimate_norm(p, q, restarts=8, seed=i)
-            upper = interpolation_upper_low(q, u1, u2, 3)
+            upper = interpolation_upper(q, (1, u1), (2, u2), 3)
             assert est.lower <= upper + 1e-9, (i, q, est.lower, upper)
     _pass(9, "20 instances x 6 exponents: ascent lower bounds never exceed "
              "interpolated certified uppers", t0)

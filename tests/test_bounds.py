@@ -19,7 +19,7 @@ from vnlab.bounds import (
     scaling_sweep,
 )
 from vnlab.dixon import build_tuple, certify
-from vnlab.norms import flattening_upper_bound, interpolation_upper, interpolation_upper_low
+from vnlab.norms import flattening_upper_bound, interpolation_upper
 from vnlab.util import Exponent
 
 
@@ -85,12 +85,6 @@ def test_reference_exponents_infinity_and_low_q():
     assert r43.d_upper == Fraction(3, 2)
     with pytest.raises(ValueError):
         reference_exponents(2, 2)
-
-
-def test_reference_exponents_record_uses_exact_strings():
-    rec = reference_exponents(3, 2).to_record()
-    assert rec["d_lower_log_power"] == "15/4"
-    assert rec["classical_lower"] == "1/2"
 
 
 # ---------------------------------------------------------------- D pipeline
@@ -204,7 +198,7 @@ def test_lower_bound_C_interpolated_denominators():
     rec4 = lower_bound_C(3, 4, 8, seed=5)
     flat = flattening_upper_bound(_pipeline_inputs(3, 8, 5)[1])
     u2 = min(flat, rec4.upper_coefficient_sum)
-    want = interpolation_upper(4, u2, rec4.upper_coefficient_sum, 3)
+    want = interpolation_upper(4, (2, u2), ("inf", rec4.upper_coefficient_sum), 3)
     assert rec4.norm_upper == pytest.approx(want, rel=1e-12)
     rec32 = lower_bound_C(3, 1.5, 8, seed=5)
     assert rec32.norm_upper > 0

@@ -10,18 +10,13 @@ from vnlab import bounds, kernels, norms
 from vnlab.norms import (
     certified_upper,
     estimate_norm,
-    exact_norm_quadratic_l2,
     flattening_upper_bound,
     interpolation_upper,
-    interpolation_upper_low,
+    l1_ball_upper_bound,
     lambda_constant,
     multilinear_estimate,
 )
-from vnlab.polynomials import (
-    HomogeneousPolynomial,
-    l1_ball_upper_bound,
-    random_steiner_polynomial,
-)
+from vnlab.polynomials import HomogeneousPolynomial, random_steiner_polynomial
 from vnlab.rademacher import RademacherProcess
 from vnlab.steiner import fano_system, greedy_generate
 from vnlab.util import Exponent, stream
@@ -37,21 +32,21 @@ def monomial_poly(k):
 
 
 # ---------------------------------------------------------------- exact layer
+# at k = 2 the flattening is the exact Euclidean sup, sigma_max of the
+# symmetric matrix A of p(z) = z^T A z
 
 
 def test_quadratic_exact_pair_sums():
     # sum of r disjoint cross terms has Euclidean sup exactly 1/2 for any r
     for r in (1, 2, 3, 5):
-        assert exact_norm_quadratic_l2(pairs_poly(r)) == pytest.approx(0.5, abs=1e-12)
+        assert flattening_upper_bound(pairs_poly(r)) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_quadratic_exact_square_and_zero():
     square = HomogeneousPolynomial(n=2, k=2, coeffs={(1, 1): 1.0})
-    assert exact_norm_quadratic_l2(square) == pytest.approx(1.0, abs=1e-14)
+    assert flattening_upper_bound(square) == pytest.approx(1.0, abs=1e-14)
     zero = HomogeneousPolynomial(n=2, k=2, coeffs={})
-    assert exact_norm_quadratic_l2(zero) == 0.0
-    with pytest.raises(ValueError):
-        exact_norm_quadratic_l2(monomial_poly(3))
+    assert flattening_upper_bound(zero) == 0.0
 
 
 def test_quadratic_exact_matches_dense_svd_oracle():
@@ -73,7 +68,7 @@ def test_quadratic_exact_matches_dense_svd_oracle():
                 a[i - 1, j - 1] += c / 2
                 a[j - 1, i - 1] += c / 2
         want = np.linalg.svd(a, compute_uv=False)[0] if coeffs else 0.0
-        assert exact_norm_quadratic_l2(p) == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert flattening_upper_bound(p) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 # --------------------------------------------------------------- ascent layer
@@ -149,8 +144,8 @@ def test_multilinear_diagonal_matches_polynomial_at_q2():
     mul = multilinear_estimate(
         p, 2, restarts=6, seed=9, extra_starts=[np.tile(est.witness, (3, 1))]
     )
-    assert mul.value >= est.lower - 1e-9  # diagonal start can only go up
-    assert mul.value <= est.lower + 1e-3  # equality within ascent slack
+    assert mul.lower >= est.lower - 1e-9  # diagonal start can only go up
+    assert mul.lower <= est.lower + 1e-3  # equality within ascent slack
 
 
 def test_multilinear_linf_sandwich():
@@ -160,8 +155,8 @@ def test_multilinear_linf_sandwich():
     mul = multilinear_estimate(
         p, "inf", restarts=6, seed=10, extra_starts=[np.tile(est.witness, (3, 1))]
     )
-    assert mul.value >= est.lower - 1e-9
-    assert mul.value <= math.sqrt(3) * est.lower + 1e-3
+    assert mul.lower >= est.lower - 1e-9
+    assert mul.lower <= math.sqrt(3) * est.lower + 1e-3
 
 
 def test_multilinear_finite_q_stays_on_the_unit_spheres():
@@ -171,24 +166,24 @@ def test_multilinear_finite_q_stays_on_the_unit_spheres():
     mul = multilinear_estimate(
         p, "3/2", restarts=4, seed=11, extra_starts=[np.tile(est.witness, (3, 1))]
     )
-    assert mul.value >= est.lower - 1e-9
-    assert mul.vectors.shape == (3, 7)
-    for v in mul.vectors:
+    assert mul.lower >= est.lower - 1e-9
+    assert mul.witness.shape == (3, 7)
+    for v in mul.witness:
         assert abs(np.linalg.norm(v, ord=1.5) - 1.0) <= 1e-12
 
 
 def test_multilinear_zero_polynomial():
     zero = HomogeneousPolynomial(n=3, k=3, coeffs={})
     mul = multilinear_estimate(zero, 2, restarts=2, seed=0)
-    assert mul.value == 0.0
+    assert mul.lower == 0.0
 
 
 @pytest.mark.parametrize("q, qf", [("2", 2.0), ("3/2", 1.5), ("inf", math.inf)])
 def test_multilinear_zero_polynomial_vectors_are_unit(q, qf):
     zero = HomogeneousPolynomial(n=3, k=3, coeffs={})
     mul = multilinear_estimate(zero, q, restarts=2, seed=0)
-    assert mul.vectors.shape == (3, 3)
-    for v in mul.vectors:
+    assert mul.witness.shape == (3, 3)
+    for v in mul.witness:
         assert abs(np.linalg.norm(v, ord=qf) - 1.0) <= 1e-12
 
 
@@ -209,44 +204,54 @@ def test_lambda_constant_values():
 
 def test_interpolation_upper_frozen_value():
     # q=4, U2=1, Uinf=2, k=3: sqrt(1) * sqrt(sqrt(3)*2)
-    assert interpolation_upper(4, 1.0, 2.0, 3) == pytest.approx(
+    assert interpolation_upper(4, (2, 1.0), ("inf", 2.0), 3) == pytest.approx(
         1.8612097182041991, rel=1e-12
     )
     with pytest.raises(ValueError):
-        interpolation_upper(2, 1.0, 1.0, 3)
+        interpolation_upper(2, (2, 1.0), ("inf", 1.0), 3)
     with pytest.raises(ValueError):
-        interpolation_upper("inf", 1.0, 1.0, 3)
+        interpolation_upper("inf", (2, 1.0), ("inf", 1.0), 3)
     with pytest.raises(ValueError):
-        interpolation_upper(4, -1.0, 1.0, 3)
+        interpolation_upper(4, (2, -1.0), ("inf", 1.0), 3)
+    with pytest.raises(ValueError):
+        interpolation_upper(4, ("inf", 1.0), (2, 1.0), 3)  # endpoints out of order
 
 
 def test_interpolation_upper_low_frozen_value():
     # q=3/2, U1=1/2, U2=3/4, k=3: (4.5*0.5)^{1/3} * 0.75^{2/3}
-    assert interpolation_upper_low(1.5, 0.5, 0.75, 3) == pytest.approx(
+    assert interpolation_upper(1.5, (1, 0.5), (2, 0.75), 3) == pytest.approx(
         1.0816871777305561, rel=1e-12
     )
     with pytest.raises(ValueError):
-        interpolation_upper_low(2.5, 1.0, 1.0, 3)
+        interpolation_upper(2.5, (1, 1.0), (2, 1.0), 3)
     with pytest.raises(ValueError):
-        interpolation_upper_low(1.0, 1.0, 1.0, 3)
+        interpolation_upper(1.0, (1, 1.0), (2, 1.0), 3)
 
 
 # ------------------------------------------------------- certified upper bound
 
 
-def selected_denominator(p, q):
-    """The C pipeline's denominator as chosen before certified_upper (the oracle)."""
+def written_out_upper(p, q):
+    """certified_upper's value with each Hoelder exponent written out in
+    floats: 2/q and (q-2)/q above q = 2, (2-q)/q and (2q-2)/q below."""
     q = Exponent.parse(q)
-    u2 = min(flattening_upper_bound(p), p.coefficient_sum)
-    if q.is_inf:
-        return p.coefficient_sum
-    if q.fraction == 2:
-        return u2
-    if q.fraction > 2:
-        return interpolation_upper(q, u2, p.coefficient_sum, p.k)
-    if q.fraction == 1:
-        return l1_ball_upper_bound(p)
-    return interpolation_upper_low(q, l1_ball_upper_bound(p), u2, p.k)
+    k, coef_sum = p.k, p.coefficient_sum
+    if q.is_inf or (k < 2 and q.fraction not in (1, 2)):
+        return coef_sum
+    qf = q.as_float()
+    u1 = l1_ball_upper_bound(p)
+    u2 = min(flattening_upper_bound(p), coef_sum)
+    if qf == 1:
+        value = u1
+    elif qf == 2:
+        value = u2
+    elif qf > 2:
+        a, b = lambda_constant(k, 2) * u2, lambda_constant(k, "inf") * coef_sum
+        value = a ** (2 / qf) * b ** ((qf - 2) / qf)
+    else:
+        a, b = lambda_constant(k, 1) * u1, lambda_constant(k, 2) * u2
+        value = a ** ((2 - qf) / qf) * b ** ((2 * qf - 2) / qf)
+    return min(value, coef_sum)
 
 
 def steiner_poly(k, n, seed):
@@ -254,17 +259,39 @@ def steiner_poly(k, n, seed):
     return random_steiner_polynomial(system, rng=np.random.default_rng(seed))
 
 
-@pytest.mark.parametrize("q", ["1", "5/4", "3/2", "2", "3", "4", "6", "inf"])
-@pytest.mark.parametrize("k,n,seed", [(3, 7, 1), (3, 13, 2), (3, 25, 3), (4, 8, 1), (4, 13, 2)])
-def test_certified_upper_matches_the_c_pipeline_selection(k, n, seed, q):
-    p = steiner_poly(k, n, seed)
+def complex_poly(k, n, seed):
+    """Random complex coefficients spanning 6 decades, repeated indices allowed."""
+    rng = np.random.default_rng(seed)
+    keys = {tuple(sorted(rng.integers(1, n + 1, size=k))) for _ in range(3 * n)}
+    coeffs = {
+        key: 10.0 ** rng.uniform(-3, 3) * np.exp(2j * math.pi * rng.random()) for key in keys
+    }
+    return HomogeneousPolynomial(n, k, coeffs)
+
+
+CERTIFIED_INPUTS = {
+    **{f"steiner-k{k}-n{n}": (steiner_poly, k, n, seed)
+       for k, n, seed in [(3, 7, 1), (3, 13, 2), (3, 25, 3), (4, 8, 1), (4, 13, 2)]},
+    **{f"complex-k{k}-s{seed}": (complex_poly, k, 5 + 2 * seed, seed)
+       for k in (1, 2, 3) for seed in (1, 2, 3)},
+}
+
+
+# exactly representable exponents, where each written-out exponent is
+# correctly rounded and equals the exact one certified_upper rounds
+@pytest.mark.parametrize(
+    "q", ["1", "5/4", "3/2", "7/4", "2", "5/2", "3", "4", "6", "10", "20", "inf"]
+)
+@pytest.mark.parametrize("name", list(CERTIFIED_INPUTS))
+def test_certified_upper_matches_the_written_out_formulas(name, q):
+    make, k, n, seed = CERTIFIED_INPUTS[name]
+    p = make(k, n, seed)
     value, method = certified_upper(p, q)
-    assert value == selected_denominator(p, q)
-    if q == "2":
-        flat = flattening_upper_bound(p)
-        want = "flattening" if flat < p.coefficient_sum else "coefficient_sum"
+    assert value == written_out_upper(p, q)
+    if value == p.coefficient_sum:
+        want = "coefficient_sum"
     else:
-        want = {"1": "l1", "inf": "coefficient_sum"}.get(q, "interpolation")
+        want = {"1": "l1", "2": "flattening"}.get(q, "interpolation")
     assert method == want
     assert value <= p.coefficient_sum
 
@@ -274,7 +301,8 @@ def test_certified_upper_never_exceeds_the_coefficient_sum(k, n, seed):
     # at q = 20 the interpolated form is above the coefficient sum, which
     # bounds |p| on every l_q ball
     p = steiner_poly(k, n, seed)
-    assert selected_denominator(p, 20) > p.coefficient_sum
+    u2 = min(flattening_upper_bound(p), p.coefficient_sum)
+    assert interpolation_upper(20, (2, u2), ("inf", p.coefficient_sum), k) > p.coefficient_sum
     assert certified_upper(p, 20) == (p.coefficient_sum, "coefficient_sum")
     est = estimate_norm(p, 20, restarts=8, max_iter=400, seed=seed)
     assert est.lower <= p.coefficient_sum
@@ -288,6 +316,27 @@ def test_certified_upper_zero_and_linear_polynomials():
     linear = HomogeneousPolynomial(n=2, k=1, coeffs={(1,): 3.0, (2,): 4.0})
     assert certified_upper(linear, 2) == (5.0, "flattening")
     assert certified_upper(linear, 3) == (7.0, "coefficient_sum")
+
+
+def test_l1_ball_bound_values():
+    p3 = HomogeneousPolynomial(n=7, k=3, coeffs={(1, 2, 3): 1.0, (4, 5, 6): -1.0})
+    assert l1_ball_upper_bound(p3) == pytest.approx(1 / 6, rel=1e-14)
+    repeated = HomogeneousPolynomial(n=3, k=3, coeffs={(1, 1, 2): 1.0})
+    # multiplicity (2,1): 2!·1!/3! = 1/3
+    assert l1_ball_upper_bound(repeated) == pytest.approx(1 / 3, rel=1e-14)
+    zero = HomogeneousPolynomial(n=3, k=3, coeffs={})
+    assert l1_ball_upper_bound(zero) == 0.0
+
+
+def test_l1_ball_bound_is_actually_an_upper_bound():
+    rng = np.random.default_rng(17)
+    p = random_steiner_polynomial(greedy_generate(8, 3, 2, seed=9), rng=rng)
+    bound = l1_ball_upper_bound(p)
+    for _ in range(200):
+        mags = rng.dirichlet(np.ones(8))
+        z = mags * np.exp(2j * np.pi * rng.random(8))
+        assert np.sum(np.abs(z)) <= 1 + 1e-12
+        assert abs(p.evaluate(z)) <= bound + 1e-12
 
 
 # ------------------------------------------------------------ flattening layer
@@ -346,10 +395,10 @@ def test_lower_bounds_respect_interpolation_uppers():
         u1 = l1_ball_upper_bound(p)
         for q in (3, 4, 6):
             est = estimate_norm(p, q, restarts=6, seed=seed)
-            assert est.lower <= interpolation_upper(q, u2, uinf, 3) + 1e-9
+            assert est.lower <= interpolation_upper(q, (2, u2), ("inf", uinf), 3) + 1e-9
         for q in (1.25, 1.5, 1.75):
             est = estimate_norm(p, q, restarts=6, seed=seed)
-            assert est.lower <= interpolation_upper_low(q, u1, u2, 3) + 1e-9
+            assert est.lower <= interpolation_upper(q, (1, u1), (2, u2), 3) + 1e-9
 
 
 def test_row_norm_certificate_theory():
@@ -405,8 +454,7 @@ def estimate_and_single_phase(monkeypatch, estimator, p, q, **kwargs):
     with monkeypatch.context() as m:
         m.setattr(norms, "_maximize", recorded)
         est = estimator(p, q, **kwargs)
-    value = est.lower if estimator is estimate_norm else est.value
-    return value, single_phase_ascent(*calls[0])
+    return est.lower, single_phase_ascent(*calls[0])
 
 
 def chaos_draw(n, seed):
@@ -631,12 +679,8 @@ def test_live_row_ascent_equals_full_batch_loop(monkeypatch, k, n, q):
         args = (estimator, p, q)
         got, got_runs, got_rows = run_with_loop(monkeypatch, LIVE_ROW_LOOPS, *args, **kwargs)
         want, want_runs, want_rows = run_with_loop(monkeypatch, FULL_BATCH_LOOPS, *args, **kwargs)
-        if estimator is estimate_norm:
-            assert np.array_equal(got.witness, want.witness)
-            assert got.lower == want.lower
-        else:
-            assert np.array_equal(got.vectors, want.vectors)
-            assert got.value == want.value
+        assert np.array_equal(got.witness, want.witness)
+        assert got.lower == want.lower
         assert got.iterations == want.iterations
         assert got.converged_restarts == want.converged_restarts
         # at q = 2 the sphere phase and at q = 3/2 the power phase run too,

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from vnlab.polynomials import (
     HomogeneousPolynomial,
-    l1_ball_upper_bound,
     polarize_evaluate,
     random_steiner_polynomial,
 )
@@ -137,27 +136,6 @@ def test_polarize_argument_count_checked():
     p = HomogeneousPolynomial(n=2, k=2, coeffs={(1, 2): 1.0})
     with pytest.raises(ValueError):
         polarize_evaluate(p, [np.ones(2, dtype=complex)])
-
-
-def test_l1_ball_bound_values():
-    p3 = HomogeneousPolynomial(n=7, k=3, coeffs={(1, 2, 3): 1.0, (4, 5, 6): -1.0})
-    assert l1_ball_upper_bound(p3) == pytest.approx(1 / 6, rel=1e-14)
-    repeated = HomogeneousPolynomial(n=3, k=3, coeffs={(1, 1, 2): 1.0})
-    # multiplicity (2,1): 2!·1!/3! = 1/3
-    assert l1_ball_upper_bound(repeated) == pytest.approx(1 / 3, rel=1e-14)
-    zero = HomogeneousPolynomial(n=3, k=3, coeffs={})
-    assert l1_ball_upper_bound(zero) == 0.0
-
-
-def test_l1_ball_bound_is_actually_an_upper_bound():
-    rng = np.random.default_rng(17)
-    p = random_steiner_polynomial(greedy_generate(8, 3, 2, seed=9), rng=rng)
-    bound = l1_ball_upper_bound(p)
-    for _ in range(200):
-        mags = rng.dirichlet(np.ones(8))
-        z = mags * np.exp(2j * np.pi * rng.random(8))
-        assert np.sum(np.abs(z)) <= 1 + 1e-12
-        assert abs(p.evaluate(z)) <= bound + 1e-12
 
 
 def test_coefficient_sum_dominates_on_polydisc():

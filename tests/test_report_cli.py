@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -371,6 +372,43 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli("norm", "--poly", str(poly_path), "--q", "zero") == EXIT_CONFIG
     # argparse-level failure (unknown subcommand)
     assert run_cli("frobnicate") == EXIT_CONFIG
+
+
+SWEEP_ARGS = ("bounds", "sweep", "--kind", "C", "--q", "inf", "--k", "3", "--seeds", "1")
+
+
+# counts that leave nothing to run, or a Monte Carlo check without a
+# standard error, exit 1 with an error that names the option
+@pytest.mark.parametrize("argv,name", [
+    pytest.param(("norm", "--poly", "{poly}", "--restarts", "0"), "restarts", id="restarts-0"),
+    pytest.param(
+        (*SWEEP_ARGS, "--n-list", "7", "--norm-restarts", "0"), "norm_restarts",
+        id="norm-restarts-0",
+    ),
+    pytest.param((*SWEEP_ARGS, "--n-min", "9", "--n-max", "7"), "n_values", id="n-min-above-n-max"),
+    pytest.param(
+        (*SWEEP_ARGS, "--n-min", "7", "--n-max", "9", "--n-step", "-1"), "n_step",
+        id="n-step-negative",
+    ),
+    pytest.param(
+        ("rademacher", "check", "--system", "{system}", "--pairs", "5", "--mc-draws", "500",
+         "--mc-check-draws", "1"),
+        "draws",
+        id="mc-check-draws-1",
+    ),
+])
+def test_cli_rejects_counts_that_do_nothing(argv, name, tmp_path, capsys):
+    paths = {"system": tmp_path / "sys.txt", "poly": tmp_path / "p.json"}
+    run_cli("steiner", "gen", "--n", "7", "--k", "3", "--t", "2", "--out", str(paths["system"]))
+    run_cli("poly", "rand", "--system", str(paths["system"]), "--out", str(paths["poly"]))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli(*(arg.format(**paths) for arg in argv))
+    out, err = capsys.readouterr()
+    assert rc == EXIT_CONFIG
+    assert name in err
+    assert out == ""
 
 
 def test_execute_rejects_unknown_config_key(tmp_path, capsys):
