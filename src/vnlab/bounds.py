@@ -1,7 +1,7 @@
 """Certified lower-bound pipelines for polynomial von Neumann-type constants.
 
 D_{k}(n) compares ||p(T)|| against sup_{B_2} |p| over commuting tuples
-subject to the joint row contraction condition; C_{k,q}(n) compares against
+subject to a joint condition on T = (T_1, ..., T_n); C_{k,q}(n) compares against
 sup over the l_q ball subject to sum_j ||T_j||^q <= 1 (max at q = inf).
 Each pipeline builds a random signed block family, certifies the operator
 tuple, and emits one flat record combining measured values, certificates,
@@ -10,10 +10,12 @@ number apart: norm_upper is the certified closed form certified_upper(p, q),
 and norm_lower is the ascent's estimate (estimate_norm).
 
 The D record carries two bound columns.  bound keeps the
-(1 + U)^{-k/2} |J| / U form, which assumes a row condition that is not
+(1 + U)^{-k/2} |J| / U form, which assumes a condition that is not
 checked.  bound_certified divides ||p(W T)|| = prod_m w_m |J| by U for the
-tuple reweighted by its certified layer weights (dixon.Certificate), which
-satisfies the row condition by proof.
+tuple reweighted by its certified layer weights (dixon.Certificate).  The
+weights prove ||sum_j alpha_j W T_j|| <= 1 for every ||alpha||_2 <= 1.  They
+do not prove a row contraction: ||sum_j (W T_j)(W T_j)^*|| is n on these
+tuples.  Which of the two conditions D_k(n) needs is not settled here.
 """
 
 from __future__ import annotations
@@ -168,9 +170,10 @@ def _lower_bound(
 
     The kinds differ only in the scale s of the tuple, in bound_certified
     and in the reference exponents.  D (q = 2) takes s = (1 + U)^{-1/2},
-    which assumes a row condition that is not checked, and bound_certified
-    = prod_m w_m ||p(T)|| / U from the certificate's layer weights, for
-    which the row condition holds by proof.  C takes s = n^{-1/q}, so
+    which assumes a condition that is not checked, and bound_certified
+    = prod_m w_m ||p(T)|| / U from the certificate's layer weights, which
+    bound every unit combination of the tuple by 1 (not a row
+    contraction; see the module docstring).  C takes s = n^{-1/q}, so
     sum_j ||s T_j||^q = 1 exactly (s = 1 at q = inf), and bound_certified
     = bound.  p(T) = c g e^* on the certified tuple, so direct_norm =
     ||p(T)|| = |c| = |J| and direct_value == bound.  bound_estimate divides
@@ -297,7 +300,7 @@ def scaling_sweep(
     """Run a pipeline over a grid of n with several seeds per n and fit growth.
 
     The fitted column defaults to bound for D (fit bound_certified for the
-    column whose row condition is certified) and to the
+    column whose combination condition is certified) and to the
     estimate-denominator bound for C (no nontrivial certified upper exists
     at q = inf, so the certified column is flat by construction there).
     A cell that raises, for instance because a hard certificate fails, is
@@ -322,6 +325,8 @@ def scaling_sweep(
         raise ValueError("seeds_per_n must be >= 1")
     if norm_restarts < 1:
         raise ValueError(f"norm_restarts must be >= 1, got {norm_restarts}")
+    if norm_max_iter < 1:
+        raise ValueError(f"norm_max_iter must be >= 1, got {norm_max_iter}")
     if k < 3 or any(n < k for n in n_values):
         raise ValueError(f"need n >= k >= 3 on the whole grid, got k={k} n={n_values}")
 

@@ -6,11 +6,12 @@ T_1, ..., T_n on the layered space e -> t_1 -> ... -> t_{k-2} -> f -> g,
 each mapping every layer into the next, such that the support polynomial
 p applied to the tuple is p(T) = |J| g e^*, where |J| is the number of
 blocks.  Every T_l is a signed partial permutation (at most one entry +-1
-in each row and each column), stored column-compressed.  The certificates
-read that structure: integer commutators from one stacked product, and
-from one pass over the stacked entries the grading, ||T_l||, p(T) e by
-index gathers (so ||p(T)|| is its g-coefficient), and one weight per layer
-that makes the reweighted tuple a row contraction, with no norm probe.
+in each row and each column), stored as a partial map: T_l sends basis
+vector c to value[l, c] times basis vector target[l, c].  The certificates
+read the maps: integer commutators by index gathers, and from the entries
+the grading, ||T_l||, p(T) e (so ||p(T)|| is its g-coefficient), and one
+weight per layer that bounds every unit combination of the reweighted
+tuple by 1, with no norm probe.
 """
 
 from __future__ import annotations
@@ -20,11 +21,9 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .polynomials import HomogeneousPolynomial
 from .steiner import PartialSteinerSystem, validate
-from .util import stream
 
 
 def _layer_sizes(n: int, k: int) -> list:
@@ -72,7 +71,10 @@ class DixonTuple:
     system: PartialSteinerSystem
     polynomial: HomogeneousPolynomial
     basis: DixonBasis
-    ops: tuple  # n sparse CSC matrices
+    # (n, dim + 1) maps: T_{l+1} e_c = value[l, c] e_{target[l, c]}.  Index dim is
+    # a sink; columns outside the support of an operator map there with value 0
+    target: np.ndarray
+    value: np.ndarray
 
     @property
     def n(self) -> int:
@@ -127,89 +129,70 @@ def build_tuple(system: PartialSteinerSystem, p: HomogeneousPolynomial) -> Dixon
     def t(v):
         return index[("t", tuple(sorted(v)))]
 
-    # (row, col, value) entries of T_l, starting with e -> t(l)
-    entries = {l: [(t((l,)), index[("e",)], 1.0)] for l in range(1, n + 1)}
+    # (operator, row, col, value) entries, starting with e -> t(l)
+    entries = [(l, t((l,)), index[("e",)], 1.0) for l in range(1, n + 1)]
     for m in range(1, k - 2):
         for v in itertools.combinations_with_replacement(range(1, n + 1), m):
-            for l in entries:
-                entries[l].append((t(v + (l,)), index[("t", v)], 1.0))
+            entries.extend((l, t(v + (l,)), index[("t", v)], 1.0) for l in range(1, n + 1))
     for block in system.blocks:
         c = p.coeffs[block].real
         for x, l in itertools.permutations(block, 2):
-            entries[l].append((index[("f", x)], t(set(block) - {x, l}), c))
-    ops = []
-    for l, ent in entries.items():
-        ent.append((index[("g",)], index[("f", l)], 1.0))
-        rows, cols, data = zip(*ent)
-        ops.append(
-            sp.coo_matrix((data, (rows, cols)), shape=(dim, dim), dtype=np.complex128).tocsc()
-        )
-    return DixonTuple(system, p, basis, tuple(ops))
+            entries.append((l, index[("f", x)], t(set(block) - {x, l}), c))
+    entries.extend((l, index[("g",)], index[("f", l)], 1.0) for l in range(1, n + 1))
+    op, row, col, val = (np.array(a) for a in zip(*entries))
+    target = np.full((n, dim + 1), dim)
+    value = np.zeros((n, dim + 1), dtype=np.complex128)
+    target[op - 1, col], value[op - 1, col] = row, val
+    return DixonTuple(system, p, basis, target, value)
 
 
 def check_commuting(tup: DixonTuple) -> float:
     """Largest entry modulus of T_a T_b - T_b T_a over all pairs a, b.
 
-    Block (a, b) of the one product [T_1; ...; T_n] [T_1 ... T_n] is T_a T_b;
-    moving each entry to the same place in block (b, a) gives the block-swapped
-    product, and the difference holds every commutator.  The operators have
-    entries in {0, +1, -1}, so every commutator entry is an exact integer: the
-    tuple commutes iff each difference is zero, and a failing pair reports a
-    modulus >= 1, which is also a lower bound on the commutator's operator norm.
+    T_a T_b sends e_c to value[b, c] value[a, m] e_{target[a, m]} with
+    m = target[b, c], so two index gathers give every product.  Column c of a
+    commutator holds these two entries, or their difference where they meet.
+    The operators have entries in {0, +1, -1}, so every commutator entry is
+    an exact integer: the tuple commutes iff each is zero, and a failing pair
+    reports a modulus >= 1, a lower bound on the commutator's norm.
     """
-    dim = tup.basis.dimension
-    prod = sp.vstack(tup.ops) @ sp.hstack(tup.ops, format="csc")
-    c = prod.tocoo()
-    row = c.col // dim * dim + c.row % dim
-    col = c.row // dim * dim + c.col % dim
-    swapped = sp.coo_matrix((c.data, (row, col)), shape=c.shape)
-    return float(np.abs((prod - swapped).data).max(initial=0.0))
+    ops = np.arange(tup.n)[:, None, None]
+    pos = tup.target[ops, tup.target]  # pos[a, b, c] = target[a, target[b, c]]
+    val = tup.value * tup.value[ops, tup.target]
+    # where the products land apart, T_b T_a's entry is val[b, a], which the max reaches
+    entry = np.where(pos == pos.transpose(1, 0, 2), val - val.transpose(1, 0, 2), val)
+    return float(np.abs(entry).max(initial=0.0))
 
 
-def _stacked_entries(tup: DixonTuple):
-    """(operator, row, col, value) of every nonzero of T_1, ..., T_n, read in one COO pass."""
-    stacked = sp.vstack(tup.ops).tocoo()  # T_l in rows l * dim, ..., (l + 1) * dim - 1
-    nz = stacked.data != 0
-    op, row = np.divmod(stacked.row[nz], tup.basis.dimension)
-    return op, row, stacked.col[nz], stacked.data[nz]
+def _map_entries(tup: DixonTuple):
+    """(operator, row, col, value) of every nonzero of T_1, ..., T_n."""
+    op, col = np.nonzero(tup.value)
+    return op, tup.target[op, col], col, tup.value[op, col]
 
 
-def operator_norms(tup: DixonTuple, entries=None) -> list:
-    """||T_l|| as the largest row 2-norm of T_l.
-
-    Exact when no column of T_l has two nonzeros, since T_l T_l^* is then
-    diagonal; certify checks that (and pte_coefficient refuses otherwise).
-    """
-    op, row, _, val = _stacked_entries(tup) if entries is None else entries
+def operator_norms(tup: DixonTuple) -> list:
+    """||T_l|| as the largest row 2-norm of T_l, exact since T_l T_l^* is diagonal."""
+    op, row, _, val = _map_entries(tup)
     n, dim = tup.n, tup.basis.dimension
     row_sq = np.bincount(op * dim + row, np.abs(val) ** 2, minlength=n * dim)
     return np.sqrt(row_sq.reshape(n, dim).max(axis=1)).tolist()
 
 
-def pte_coefficient(tup: DixonTuple, entries=None):
+def pte_coefficient(tup: DixonTuple):
     """Coefficient of g in p(T) e and the norm of the off-g residual.
 
-    With at most one nonzero per column, T_l sends basis vector c to
-    value[l, c] times basis vector target[l, c], or to 0 (a sink index past
-    the basis).  Every monomial T_{j1} ... T_{jk} e (j1 <= ... <= jk) is
-    followed by k index gathers, one per factor from the right, and one
+    Every monomial T_{j1} ... T_{jk} e (j1 <= ... <= jk) is followed by k
+    index gathers into the maps, one per factor from the right, and one
     bincount sums the terms.
     """
-    op, row, col, val = _stacked_entries(tup) if entries is None else entries
-    n, dim = tup.n, tup.basis.dimension
-    if np.bincount(op * dim + col, minlength=1).max() > 1:
-        raise ValueError("operator has a column with two nonzero entries")
-    target = np.full((n, dim + 1), dim)
-    value = np.zeros((n, dim + 1), dtype=np.complex128)
-    target[op, col] = row
-    value[op, col] = val
+    dim = tup.basis.dimension
     p = tup.polynomial
     factors = np.array(p.support(), dtype=np.intp).reshape(-1, p.k) - 1
     term = np.array(list(p.coeffs.values()), dtype=np.complex128)
     pos = np.full(p.term_count, tup.basis.index[("e",)])
     for factor in factors.T[::-1]:
-        term *= value[factor, pos]
-        pos = target[factor, pos]
+        term *= tup.value[factor, pos]
+        pos = tup.target[factor, pos]
     re, im = (np.bincount(pos, part, minlength=dim + 1)[:dim] for part in (term.real, term.imag))
     w = re + 1j * im
     g_pos = tup.basis.index[("g",)]
@@ -253,13 +236,15 @@ class Certificate:
     When graded, the degree-k p(T) maps e to the line of g and every other
     layer past g, so p(T) = c g e^* and ||p(T)|| = |c| for c = pte_coefficient.
     When every T_l is also a signed partial permutation (at most one entry
-    +-1 in each row and each column), the layer weights certify the row
-    condition: with W = 1 on e and w_m on layer m + 1, the tuple W T_j
-    commutes like T_j (W T_a W T_b = w_m w_{m+1} T_a T_b on layer m), every
-    block of sum_j alpha_j W T_j has norm at most ||alpha||, and the blocks
-    map orthogonal layers into orthogonal layers, so
-    sup over unit alpha of ||sum_j alpha_j W T_j|| <= 1, while
-    p(W T) = weight_product * p(T).
+    +-1 in each row and each column), the layer weights certify the
+    combination condition: with W = 1 on e and w_m on layer m + 1, the tuple
+    W T_j commutes like T_j (W T_a W T_b = w_m w_{m+1} T_a T_b on layer m),
+    every block of sum_j alpha_j W T_j has norm at most ||alpha||, and the
+    blocks map orthogonal layers into orthogonal layers, so
+    sup over ||alpha||_2 <= 1 of ||sum_j alpha_j W T_j|| <= 1, while
+    p(W T) = weight_product * p(T).  That is not a row contraction: the
+    f -> g layer keeps weight 1 and all n operators map into g, so
+    ||sum_j (W T_j)(W T_j)^*|| = n, and no weight here bounds it.
     """
 
     commutator: float
@@ -280,24 +265,22 @@ class Certificate:
 def certify(tup: DixonTuple) -> Certificate:
     """Check grading, signed partial permutations, commutation, unit norms and p(T) e = |J| g.
 
-    One pass over the stacked operators gives the grading, the permutation
-    check, ||T_l||, p(T) e and the layer weights; the commutators come from
-    one stacked product.
+    The entries of the maps give the grading, the permutation check (a map
+    holds at most one entry per column, so only rows are counted) and the
+    layer weights; the other certificates read the maps themselves.
     """
-    entries = _stacked_entries(tup)
+    entries = _map_entries(tup)
     op, row, col, val = entries
-    dim = tup.basis.dimension
     layer = np.repeat(np.arange(tup.k + 1), _layer_sizes(tup.n, tup.k))
     graded = bool(np.all(layer[row] == layer[col] + 1))
     permutation = bool(
         np.all((val == 1) | (val == -1))
-        and np.bincount(op * dim + row, minlength=1).max() <= 1
-        and np.bincount(op * dim + col, minlength=1).max() <= 1
+        and np.bincount(op * tup.basis.dimension + row, minlength=1).max() <= 1
     )
     comm = check_commuting(tup)
-    norms = operator_norms(tup, entries)
+    norms = operator_norms(tup)
     dev = max(abs(x - 1.0) for x in norms)
-    coeff, residual = pte_coefficient(tup, entries)
+    coeff, residual = pte_coefficient(tup)
     ok = (
         graded
         and permutation
@@ -308,29 +291,6 @@ def certify(tup: DixonTuple) -> Certificate:
     )
     weights = _layer_weights(tup, entries)
     return Certificate(comm, norms, dev, coeff, residual, graded, permutation, weights, ok)
-
-
-def corrupt_tuple(tup: DixonTuple, seed: int = 0) -> DixonTuple:
-    """Negative control: move one f-layer entry of one operator to a wrong row.
-
-    The returned tuple generically fails the commutation check, which is the
-    point: it exercises the failure path of the certification.
-    """
-    rng = stream(seed, "corrupt")
-    f_rows = {tup.basis.index[lab] for lab in tup.basis.labels if lab[0] == "f"}
-    order = rng.permutation(len(tup.ops))
-    for l in order:
-        mat = tup.ops[l].tocoo()
-        hits = [t for t in range(mat.nnz) if mat.row[t] in f_rows]
-        if not hits:
-            continue
-        t = hits[int(rng.integers(0, len(hits)))]
-        new_rows = sorted(f_rows - {mat.row[t]})
-        mat.row[t] = new_rows[int(rng.integers(0, len(new_rows)))]
-        ops = list(tup.ops)
-        ops[l] = mat.tocsc()
-        return DixonTuple(tup.system, tup.polynomial, tup.basis, tuple(ops))
-    raise ValueError("tuple has no f-layer entries to corrupt")
 
 
 def verify_report(tup: DixonTuple) -> dict:

@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import expit
 
 from .polynomials import HomogeneousPolynomial, polarization_signs
 from .util import Exponent, stream
@@ -135,7 +133,7 @@ def _points(params, qf, shape):
     nu = (s**qf).sum(axis=1) ** (1.0 / qf)
     phase = np.exp(1j * theta)
     z = s / nu[:, None] * phase
-    return z.reshape(-1, blocks, n), (w, phase, s, nu)
+    return z.reshape(-1, blocks, n), (phase, s, nu)
 
 
 def _pullback(g, z, aux, qf):
@@ -145,11 +143,11 @@ def _pullback(g, z, aux, qf):
     if qf == math.inf:
         # d|f|^2/dtheta_j for z_j = exp(i theta_j)
         return (-np.imag(g * z.reshape(-1, n))).reshape(nrows, -1)
-    w, phase, s, nu = aux
-    # chain rule through magnitudes m = s / ||s||_q with s = softplus(w)
+    phase, s, nu = aux
+    # chain rule through magnitudes m = s / ||s||_q with s = softplus(w), s' = 1 - e^{-s}
     radial = np.real(g * phase)
     proj = (radial * s).sum(axis=1)
-    dw = expit(w) * (
+    dw = -np.expm1(-s) * (
         radial / nu[:, None] - s ** (qf - 1.0) * (proj / nu ** (qf + 1.0))[:, None]
     )
     dtheta = -np.imag(g * s / nu[:, None] * phase)
@@ -288,6 +286,8 @@ def _maximize(objective, shape, q, restarts, max_iter, seed, label, extra_starts
     """
     if restarts < 1 and len(extra_starts) == 0:
         raise ValueError(f"restarts must be >= 1 when no extra starts are given, got {restarts}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     qf = q.as_float()
 
     def ascend(params, points_fn, pullback, budget, tol):
@@ -371,13 +371,15 @@ def estimate_norm(
     unit sphere and the objective stays smooth.  For 1 < q <= 2 every
     restart then finishes in its basin until a step gains nothing: at
     q = 2 on the sphere in plain coordinates, for 1 < q < 2 by shifted
-    l_q power steps.  max_iter caps the iterations of both phases
-    together; iterations counts both, and converged_restarts counts the
-    restarts whose last phase stopped before the cap.  Each restart
+    l_q power steps.  max_iter (at least 1) caps the iterations of both
+    phases together; iterations counts both, and converged_restarts counts
+    the restarts whose last phase stopped before the cap.  Each restart
     derives its own RNG stream from (seed, restart index).  The witness satisfies the ball
     constraint and reproduces the reported lower value by direct evaluation.
     The result is an estimate only; the certified upper end is
-    certified_upper(p, q), which this function does not compute.
+    certified_upper(p, q), which this function does not compute.  The value
+    is not clamped, and rounding can lift it a few ulps above an exact sup
+    (0.5000000000000001 against 0.5 on a k = 2 polynomial at q = 2).
     """
     q = Exponent.parse(q)
     if p.term_count == 0:
@@ -534,18 +536,26 @@ def flattening_upper_bound(p: HomogeneousPolynomial) -> float:
     n, k = p.n, p.k
     if k == 1:
         return float(np.linalg.norm(list(p.coeffs.values())))
-    rows, cols, data = [], [], []
+    perms, data = [], []
     kfact = math.factorial(k)
     for key, c in p.coeffs.items():
-        entry = c * (_multiplicity_factorial(key) / kfact)
-        for perm in set(itertools.permutations(key)):
-            rows.append(perm[0] - 1)
-            col = 0
-            for j in range(1, k):
-                col = col * n + (perm[j] - 1)
-            cols.append(col)
-            data.append(entry)
-    m = sp.coo_matrix((data, (rows, cols)), shape=(n, n ** (k - 1))).tocsr()
-    gram = (m @ m.conjugate().transpose()).toarray()
-    top = float(np.linalg.eigvalsh(gram)[-1])
+        distinct = set(itertools.permutations(key))
+        perms.extend(distinct)
+        data.extend([c * (_multiplicity_factorial(key) / kfact)] * len(distinct))
+    # M M^* sums a a^* over the columns a of M in ascending order: each entry
+    # pairs with every entry of its column, and bincount adds the pairs in turn
+    perms = np.array(perms) - 1
+    cols = perms[:, 1:] @ n ** np.arange(k - 2, -1, -1)
+    order = np.argsort(cols, kind="stable")
+    rows, cols, data = perms[order, 0], cols[order], np.array(data)[order]
+    start = np.searchsorted(cols, cols)
+    size = np.searchsorted(cols, cols, side="right") - start
+    left = np.repeat(np.arange(cols.size), size)
+    right = np.arange(left.size) + np.repeat(start - np.cumsum(size) + size, size)
+    a, b = data[left], data[right]
+    # a conj(b) with each product rounded on its own: NumPy's complex multiply
+    # fuses them on some builds, and the certified bound must not depend on that
+    parts = (a.real * b.real + a.imag * b.imag, a.imag * b.real - a.real * b.imag)
+    re, im = (np.bincount(rows[left] * n + rows[right], x, minlength=n * n) for x in parts)
+    top = float(np.linalg.eigvalsh((re + 1j * im).reshape(n, n))[-1])
     return math.sqrt(max(top, 0.0))

@@ -144,13 +144,17 @@ def test_criterion_04_operator_tuple_identities():
         assert rep["pTe_re"] == float(sys_.cardinality), idx
         assert rep["pTe_im"] == 0.0, idx
         assert rep["pTe_residual"] <= 1e-9, idx
-        # the row condition by certificate: the layer-weighted tuple commutes,
+        # the combination condition by certificate: the layer-weighted tuple commutes,
         # is a contraction at 32 unit alpha (dense SVD), and maps e to
         # prod w |J| g under p
         layer = {"e": 0, "f": sys_.k - 1, "g": sys_.k}
         layers = [len(lab[1]) if lab[0] == "t" else layer[lab[0]] for lab in tup.basis.labels]
         scale = np.array([1.0, *rep["layer_weights"]])[layers]
-        weighted = [scale[:, None] * t.toarray() for t in tup.ops]
+        # dense T_l from the maps: value[l, c] at (target[l, c], c), sink dropped
+        dim = tup.basis.dimension
+        dense = np.zeros((sys_.n, dim + 1, dim + 1), dtype=complex)
+        dense[np.arange(sys_.n)[:, None], tup.target, np.arange(dim + 1)] = tup.value
+        weighted = list(scale[:, None] * dense[:, :dim, :dim])
         for a, b in itertools.combinations(weighted, 2):
             assert np.abs(a @ b - b @ a).max() <= 1e-12, idx
         rng = stream(ROOT_SEED, "acceptance-row", idx)
@@ -173,7 +177,7 @@ def test_criterion_04_operator_tuple_identities():
     elapsed = time.time() - t0
     assert elapsed < 60.0
     _pass(4, "5 tuples (k=3,4; n<=10): commutators <= 1e-12, unit operator "
-             "norms, p(T)e = |J| g, layer-weighted row condition <= 1", t0)
+             "norms, p(T)e = |J| g, layer-weighted unit combinations <= 1", t0)
 
 
 def test_criterion_05_increment_and_lipschitz():

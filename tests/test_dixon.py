@@ -1,20 +1,19 @@
-"""Layered operator tuples: structure, contractivity, commutation, row condition."""
+"""Layered operator tuples: structure, contractivity, commutation, weighted combinations."""
 
 import itertools
 import math
 
+import dataclasses
+
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from vnlab.dixon import (
-    DixonTuple,
     _layer_sizes,
     build_basis,
     build_tuple,
     certify,
     check_commuting,
-    corrupt_tuple,
     dixon_dimension,
     operator_norms,
     pte_coefficient,
@@ -23,6 +22,7 @@ from vnlab.dixon import (
 from vnlab.norms import estimate_norm, flattening_upper_bound
 from vnlab.polynomials import HomogeneousPolynomial, random_steiner_polynomial
 from vnlab.steiner import PartialSteinerSystem, fano_system, greedy_generate
+from vnlab.util import stream
 
 
 def make_tuple(n, k, seed):
@@ -38,6 +38,31 @@ def unit(basis, lab):
     v = np.zeros(basis.dimension, dtype=complex)
     v[basis.index[lab]] = 1.0
     return v
+
+
+def dense_ops(tup):
+    # the dense T_l of the maps: entry value[l, c] at (target[l, c], c), sink dropped
+    n, dim = tup.n, tup.basis.dimension
+    out = np.zeros((n, dim + 1, dim + 1), dtype=complex)
+    out[np.arange(n)[:, None], tup.target, np.arange(dim + 1)] = tup.value
+    return out[:, :dim, :dim]
+
+
+def corrupt_tuple(tup, seed=0):
+    # negative control: move one f-layer entry of one operator to a wrong row,
+    # which generically breaks commutation
+    rng = stream(seed, "corrupt")
+    f_rows = {tup.basis.index[lab] for lab in tup.basis.labels if lab[0] == "f"}
+    for l in rng.permutation(tup.n):
+        hits = [c for c in np.flatnonzero(tup.value[l]) if tup.target[l, c] in f_rows]
+        if not hits:
+            continue
+        c = hits[int(rng.integers(0, len(hits)))]
+        new_rows = sorted(f_rows - {tup.target[l, c]})
+        target = tup.target.copy()
+        target[l, c] = new_rows[int(rng.integers(0, len(new_rows)))]
+        return dataclasses.replace(tup, target=target)
+    raise ValueError("tuple has no f-layer entries to corrupt")
 
 
 # ------------------------------------------------------------------ dimension
@@ -70,7 +95,7 @@ def test_single_block_chain():
     p = HomogeneousPolynomial(n=3, k=3, coeffs={(1, 2, 3): 1.0})
     tup = build_tuple(sys_, p)
     b = tup.basis
-    T = tup.ops
+    T = dense_ops(tup)
     np.testing.assert_array_equal(T[2] @ unit(b, ("e",)), unit(b, ("t", (3,))))
     # pair {2,3} completes to point 1 with sign +1
     np.testing.assert_array_equal(T[1] @ unit(b, ("t", (3,))), unit(b, ("f", 1)))
@@ -93,9 +118,8 @@ def test_single_block_negative_sign():
     # the negative sign is visible one layer down: T_2 e -> t(2),
     # then T_3 t(2) = -f_1
     b = tup.basis
-    np.testing.assert_array_equal(
-        tup.ops[2] @ (tup.ops[1] @ unit(b, ("e",))), -unit(b, ("f", 1))
-    )
+    T = dense_ops(tup)
+    np.testing.assert_array_equal(T[2] @ (T[1] @ unit(b, ("e",))), -unit(b, ("f", 1)))
 
 
 def test_monomial_count_identity():
@@ -112,11 +136,12 @@ def test_polynomial_operator_is_rank_one():
     # certified coefficient c, which is why direct_norm reads |c| off p(T)e
     for n, k, seed in [(7, 3, 4), (9, 3, 1), (8, 4, 2)]:
         tup = make_tuple(n, k, seed)
+        dense = dense_ops(tup)
         m = np.zeros((tup.basis.dimension,) * 2, dtype=complex)
         for key, c in tup.polynomial.coeffs.items():
             prod = np.eye(tup.basis.dimension, dtype=complex)
             for j in key:
-                prod = prod @ tup.ops[j - 1].toarray()
+                prod = prod @ dense[j - 1]
             m += c * prod
         cert = certify(tup)
         assert cert.graded and cert.ok
@@ -132,7 +157,7 @@ def test_pte_coefficient_matches_dense_action(n, k, seed):
     # on corrupted tuples, where the order of the factors matters
     tup = make_tuple(n, k, seed)
     for t in (tup, corrupt_tuple(tup, seed=0), corrupt_tuple(tup, seed=1)):
-        dense = [op.toarray() for op in t.ops]
+        dense = dense_ops(t)
         v = np.zeros(t.basis.dimension, dtype=complex)
         for key, c in t.polynomial.coeffs.items():
             w = unit(t.basis, ("e",))
@@ -157,13 +182,10 @@ def test_operators_are_exact_contractions(n, k, seed):
 
 
 def _pairwise_commutator(tup):
-    # reference: one product pair at a time
+    # reference: one dense product pair at a time
     worst = 0.0
-    for a, b in itertools.combinations(tup.ops, 2):
-        d = (a @ b - b @ a).tocsr()
-        d.eliminate_zeros()
-        if d.nnz:
-            worst = max(worst, float(np.abs(d.data).max()))
+    for a, b in itertools.combinations(dense_ops(tup), 2):
+        worst = max(worst, float(np.abs(a @ b - b @ a).max()))
     return worst
 
 
@@ -174,6 +196,18 @@ def test_check_commuting_matches_pairwise_products(n, k, seed):
     for corrupt_seed in range(3):
         bad = corrupt_tuple(tup, seed=corrupt_seed)
         assert check_commuting(bad) == _pairwise_commutator(bad) >= 1.0
+    # random maps with no design behind them: entries in {0, +-1, +-i}, and
+    # entries all 1 with no column sent to the sink, where a commutator entry
+    # is nonzero only because two products land apart
+    rng = np.random.default_rng(seed)
+    dim = tup.basis.dimension
+    for sink in (True, False):
+        target = rng.integers(0, dim + sink, size=tup.target.shape)
+        target[:, dim] = dim
+        phases = rng.choice([1, -1, 1j, -1j], size=target.shape) if sink else 1
+        value = np.where(target == dim, 0, phases)
+        rand = dataclasses.replace(tup, target=target, value=value)
+        assert check_commuting(rand) == _pairwise_commutator(rand) >= 1.0
 
 
 def test_commutators_vanish_exactly():
@@ -201,7 +235,7 @@ def test_corrupt_commutator_entry_is_at_least_one(n, k, seed):
 def test_operator_norms_match_dense_svd(n, k, seed):
     tup = make_tuple(n, k, seed)
     got = operator_norms(tup)
-    want = [np.linalg.norm(t.toarray(), 2) for t in tup.ops]
+    want = [np.linalg.norm(t, 2) for t in dense_ops(tup)]
     assert got == pytest.approx(want, rel=1e-12)
     assert got == [1.0] * n
     assert certify(tup).opnorm_max_dev == 0.0
@@ -209,7 +243,8 @@ def test_operator_norms_match_dense_svd(n, k, seed):
 
 def _label_scan_ops(tup):
     # reference: every basis label once per operator, with a completion map
-    # from (k-1)-subsets to the missing point and the block's sign
+    # from (k-1)-subsets to the missing point and the block's sign, written
+    # into dense matrices
     basis, k = tup.basis, tup.k
     completion = {}
     for block in tup.system.blocks:
@@ -234,34 +269,34 @@ def _label_scan_ops(tup):
         rows.append(basis.index[("g",)])
         cols.append(basis.index[("f", l)])
         data.append(1.0)
-        shape = (basis.dimension,) * 2
-        ops.append(sp.coo_matrix((data, (rows, cols)), shape=shape, dtype=complex).tocsc())
+        op = np.zeros((basis.dimension,) * 2, dtype=complex)
+        np.add.at(op, (rows, cols), data)
+        ops.append(op)
     return ops
 
 
 @pytest.mark.parametrize("n,k,seed", [(7, 3, 0), (13, 3, 3), (8, 4, 2), (11, 4, 0), (9, 5, 3)])
 def test_build_tuple_matches_label_scan(n, k, seed):
     tup = make_tuple(n, k, seed)
-    for got, want in zip(tup.ops, _label_scan_ops(tup), strict=True):
-        got, want = got.copy(), want.copy()
-        got.sort_indices()
-        want.sort_indices()
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got.indptr, want.indptr)
-        np.testing.assert_array_equal(got.indices, want.indices)
-        np.testing.assert_array_equal(got.data, want.data)
+    dim = tup.basis.dimension
+    assert tup.target.shape == tup.value.shape == (n, dim + 1)
+    assert tup.value.dtype == np.complex128
+    # outside the support of T_l, and at the sink, a column maps to the sink with 0
+    absent = tup.value == 0
+    assert absent[:, dim].all()
+    np.testing.assert_array_equal(tup.target[absent], dim)
+    np.testing.assert_array_equal(dense_ops(tup), np.array(_label_scan_ops(tup)))
 
 
 @pytest.mark.parametrize("n,k,seed", [(7, 3, 0), (8, 4, 2)])
 def test_certify_rejects_ungraded_tuple(n, k, seed):
     # move the e -> t(1) entry of T_1 to e -> f_1, past the t-layers
     tup = make_tuple(n, k, seed)
-    t1 = tup.ops[0].tocoo()
-    hit = np.flatnonzero(t1.col == tup.basis.index[("e",)])
-    assert hit.size == 1
-    t1.row[hit] = tup.basis.index[("f", 1)]
-    bad = DixonTuple(tup.system, tup.polynomial, tup.basis, (t1.tocsc(),) + tup.ops[1:])
-    cert = certify(bad)
+    e = tup.basis.index[("e",)]
+    assert tup.target[0, e] == tup.basis.index[("t", (1,))]
+    target = tup.target.copy()
+    target[0, e] = tup.basis.index[("f", 1)]
+    cert = certify(dataclasses.replace(tup, target=target))
     assert certify(tup).graded
     assert not cert.graded
     assert not cert.ok
@@ -307,7 +342,7 @@ def test_build_rejects_pair_collisions():
         build_tuple(sys_, p)
 
 
-# ---------------------------------------------------------------- row condition
+# ------------------------------------------------------- weighted combinations
 
 
 def _layer_edges(tup):
@@ -320,7 +355,7 @@ def _weighted_ops(tup, weights):
     diag = np.ones(tup.basis.dimension)
     for m, w in enumerate(weights):
         diag[edges[m + 1] : edges[m + 2]] = w
-    return [diag[:, None] * t.toarray() for t in tup.ops]
+    return list(diag[:, None] * dense_ops(tup))
 
 
 def _dense_combination_norm(ops, alpha):
@@ -360,13 +395,24 @@ def test_weighted_tuple_is_a_certified_row_contraction(n, k, seed):
     assert not certify(corrupt_tuple(tup, seed=seed)).ok
 
 
+@pytest.mark.parametrize("n,k,seed", [(7, 3, 0), (9, 3, 1), (13, 3, 2), (8, 4, 2), (10, 4, 3)])
+def test_weighted_tuple_is_not_a_row_contraction(n, k, seed):
+    # the weights bound every unit combination of W T_j by 1, but not
+    # sum_j (W T_j)(W T_j)^*: the f -> g layer keeps weight 1 and all n
+    # operators map into g, so the dense row Gram has norm n
+    tup = make_tuple(n, k, seed)
+    ops = _weighted_ops(tup, certify(tup).layer_weights)
+    gram = sum(t @ t.conj().T for t in ops)
+    assert np.linalg.eigvalsh(gram)[-1] == pytest.approx(n, rel=1e-12)
+
+
 @pytest.mark.parametrize("n,k,seed", [(7, 3, 3), (12, 3, 1), (8, 4, 2), (9, 5, 3)])
 def test_layer_weights_match_dense_stack_norms(n, k, seed):
     # w_m = 1 / min(||[A_1 ... A_n]||, ||[A_1; ...; A_n]||) per block, the
     # stack norms taken from the dense Grams sum A A^* and sum A^* A
     tup = make_tuple(n, k, seed)
     edges = _layer_edges(tup)
-    dense = [t.toarray() for t in tup.ops]
+    dense = dense_ops(tup)
     want = []
     for m in range(k):
         blocks = [t[edges[m + 1] : edges[m + 2], edges[m] : edges[m + 1]] for t in dense]
@@ -382,24 +428,19 @@ def test_certify_rejects_non_permutation():
     # longer +-1, so its commutators are no longer exact integers
     tup = make_tuple(7, 3, 1)
     e, g = tup.basis.index[("e",)], tup.basis.index[("g",)]
-    phased = []
-    for t in tup.ops:
-        c = t.tocoo()
-        data = c.data * np.where(c.col == e, 1j, 1) * np.where(c.row == g, -1j, 1)
-        phased.append(sp.coo_matrix((data, (c.row, c.col)), shape=c.shape).tocsc())
-    cert = certify(DixonTuple(tup.system, tup.polynomial, tup.basis, tuple(phased)))
+    col = np.arange(tup.basis.dimension + 1)
+    value = tup.value * np.where(col == e, 1j, 1) * np.where(tup.target == g, -1j, 1)
+    cert = certify(dataclasses.replace(tup, value=value))
     assert cert.graded and cert.commutator == 0 and cert.opnorm_max_dev == 0
     assert cert.pte_coefficient == tup.system.cardinality and cert.pte_residual == 0
     assert not cert.permutation and not cert.ok
     # two entries in one row of T_1 keep the grading but break the diagonal
     # row Gram that the layer weights are read from
-    t1 = tup.ops[0].tocoo()
     f_layer = [tup.basis.index[("f", x)] for x in range(1, tup.n + 1)]
-    a, b = np.flatnonzero(np.isin(t1.row, f_layer))[:2]
-    row = t1.row.copy()
-    row[b] = row[a]
-    merged = sp.coo_matrix((t1.data, (row, t1.col)), shape=t1.shape).tocsc()
-    cert = certify(DixonTuple(tup.system, tup.polynomial, tup.basis, (merged,) + tup.ops[1:]))
+    a, b = np.flatnonzero(np.isin(tup.target[0], f_layer))[:2]
+    target = tup.target.copy()
+    target[0, b] = target[0, a]
+    cert = certify(dataclasses.replace(tup, target=target))
     assert cert.graded and not cert.permutation and not cert.ok
     assert certify(tup).permutation
 
@@ -413,8 +454,8 @@ def test_row_condition_single_block_exact():
     tup = build_tuple(sys_, p)
     w = estimate_norm(p, 2, seed=1).witness
     alpha = w / np.linalg.norm(w)
-    ops = [t.toarray() for t in tup.ops]
-    assert _dense_combination_norm(ops, alpha) == pytest.approx(2 / math.sqrt(3), abs=1e-6)
+    value = _dense_combination_norm(dense_ops(tup), alpha)
+    assert value == pytest.approx(2 / math.sqrt(3), abs=1e-6)
     weighted = _weighted_ops(tup, certify(tup).layer_weights)
     assert _dense_combination_norm(weighted, alpha) == pytest.approx(1.0, abs=1e-12)
 
@@ -426,7 +467,7 @@ def test_row_condition_matches_polynomial_norm_theory():
     tup = make_tuple(7, 3, 1007)
     est = estimate_norm(tup.polynomial, 2, restarts=24, seed=5)
     alpha = est.witness / np.linalg.norm(est.witness)
-    value = _dense_combination_norm([t.toarray() for t in tup.ops], alpha)
+    value = _dense_combination_norm(dense_ops(tup), alpha)
     assert value == pytest.approx(max(1.0, 6 * est.lower), rel=1e-6)
 
 
@@ -438,7 +479,7 @@ def test_row_value_is_dense_norm_at_k3(n, seed):
     tup = make_tuple(n, 3, seed)
     w = estimate_norm(tup.polynomial, 2, restarts=8, seed=seed).witness
     alpha = w / np.linalg.norm(w)
-    value = _dense_combination_norm([t.toarray() for t in tup.ops], alpha)
+    value = _dense_combination_norm(dense_ops(tup), alpha)
     floor = max(1.0, 6 * abs(tup.polynomial.evaluate(alpha)))
     assert value >= floor * (1 - 1e-12)
     weighted = _weighted_ops(tup, certify(tup).layer_weights)
@@ -452,7 +493,7 @@ def test_row_value_at_k4_reaches_uniform_block(n, seed):
     # 1/sqrt(2) on t_2 brings it under 1
     tup = make_tuple(n, 4, seed)
     alpha = np.full(n, n**-0.5)
-    value = _dense_combination_norm([t.toarray() for t in tup.ops], alpha)
+    value = _dense_combination_norm(dense_ops(tup), alpha)
     assert value >= math.sqrt(2 - 1 / n) * (1 - 1e-12)
     cert = certify(tup)
     assert cert.layer_weights[1] == pytest.approx(2**-0.5, rel=1e-15)

@@ -1,5 +1,6 @@
 """Sup-norm brackets: ascent lower bounds, certified uppers, exact oracles."""
 
+import itertools
 import math
 import warnings
 
@@ -376,6 +377,43 @@ def test_flattening_dominates_ascent():
         assert est.lower <= upper + 1e-9
 
 
+def _column_order_gram(p):
+    # reference: the unfolding as a dict of columns, and M M^* summed one
+    # column at a time in ascending column order, each product in real parts
+    kfact = math.factorial(p.k)
+    columns = {}
+    for key, c in p.coeffs.items():
+        entry = c * (math.prod(math.factorial(key.count(x)) for x in set(key)) / kfact)
+        for perm in set(itertools.permutations(key)):
+            col = sum((j - 1) * p.n ** (p.k - 2 - m) for m, j in enumerate(perm[1:]))
+            columns.setdefault(col, []).append((perm[0] - 1, entry))
+    gram = np.zeros((p.n, p.n), dtype=complex)
+    for col in sorted(columns):
+        for i, a in columns[col]:
+            for j, b in columns[col]:
+                gram[i, j] += complex(a.real * b.real + a.imag * b.imag,
+                                      a.imag * b.real - a.real * b.imag)
+    return gram
+
+
+def test_flattening_equals_the_column_order_gram():
+    # same sums in the same order, so the same bits, on signed Steiner inputs
+    # and on complex coefficients over 6 decades with repeated indices
+    polys = [bounds._pipeline_inputs(k, n, 1)[1] for k, n in ((3, 7), (3, 13), (4, 9), (5, 9))]
+    rng = np.random.default_rng(5)
+    for _ in range(12):
+        n, k = int(rng.integers(2, 7)), int(rng.integers(2, 5))
+        keys = list(itertools.combinations_with_replacement(range(1, n + 1), k))
+        pick = rng.choice(len(keys), size=min(len(keys), 12), replace=False)
+        polys.append(HomogeneousPolynomial(n, k, {
+            keys[j]: complex(rng.normal(), rng.normal()) * 10.0 ** rng.uniform(-3, 3)
+            for j in pick
+        }))
+    for p in polys:
+        top = np.linalg.eigvalsh(_column_order_gram(p))[-1]
+        assert flattening_upper_bound(p) == math.sqrt(max(top, 0.0))
+
+
 def test_flattening_degree_one():
     p = HomogeneousPolynomial(n=3, k=1, coeffs={(1,): 3.0, (2,): 4.0})
     assert flattening_upper_bound(p) == pytest.approx(5.0, rel=1e-14)
@@ -532,6 +570,19 @@ def test_q2_ascent_reaches_exact_values():
     # the blocks of a k = 4 pipeline design share no pair; the sup is 1/16,
     # the value of a single block's monomial
     assert abs(bounds.lower_bound_D(4, 7, 2).norm_lower - 1 / 16) <= 1e-12
+
+
+def test_q2_estimate_exceeds_an_exact_sup_by_a_few_ulps_at_most():
+    # at k = 2 the flattening is the exact sup, and the rounded witness can
+    # evaluate above it: the k = 2 chain of `steiner gen --n 6 --k 2 --t 1
+    # --seed 1` and `poly rand --seed 1` gives 0.5000000000000001 against 0.5.
+    # The estimate is reported as computed; its overshoot is rounding only
+    chain = random_steiner_polynomial(greedy_generate(6, 2, 1, 1), 1)
+    for p in (chain, pairs_poly(3), monomial_poly(2)):
+        lower = estimate_norm(p, 2, seed=1).lower
+        upper, method = certified_upper(p, 2)
+        assert method == "flattening"
+        assert -1e-12 <= lower - upper <= 4 * np.spacing(upper)
 
 
 @pytest.mark.parametrize("q", ["5/4", "3/2", "7/4"])

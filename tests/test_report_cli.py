@@ -3,7 +3,10 @@
 import inspect
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -381,6 +384,11 @@ SWEEP_ARGS = ("bounds", "sweep", "--kind", "C", "--q", "inf", "--k", "3", "--see
 # standard error, exit 1 with an error that names the option
 @pytest.mark.parametrize("argv,name", [
     pytest.param(("norm", "--poly", "{poly}", "--restarts", "0"), "restarts", id="restarts-0"),
+    pytest.param(("norm", "--poly", "{poly}", "--max-iter", "0"), "max_iter", id="max-iter-0"),
+    pytest.param(
+        (*SWEEP_ARGS, "--n-list", "7", "--norm-max-iter", "0"), "norm_max_iter",
+        id="norm-max-iter-0",
+    ),
     pytest.param(
         (*SWEEP_ARGS, "--n-list", "7", "--norm-restarts", "0"), "norm_restarts",
         id="norm-restarts-0",
@@ -489,3 +497,37 @@ def test_cli_defaults_come_from_callee_signatures(tmp_path, capsys):
     config = json.loads(capsys.readouterr().out)["config"]
     for name in ("norm_restarts", "norm_max_iter", "fit_column"):
         assert config[name] == signature_default(scaling_sweep, name), name
+
+
+def test_runs_without_scipy(tmp_path):
+    # NumPy is the only runtime dependency: with a None entry in sys.modules
+    # every import of scipy raises, yet every module imports and one D cell,
+    # one C cell at q = 3/2 and `vnlab norm` run
+    import vnlab
+
+    script = """
+import importlib, pkgutil, sys
+sys.modules["scipy"] = None
+import vnlab
+for info in pkgutil.iter_modules(vnlab.__path__):
+    importlib.import_module("vnlab." + info.name)
+from vnlab import bounds, cli
+d = bounds.lower_bound_D(3, 7, 1, norm_restarts=2, norm_max_iter=100)
+c = bounds.lower_bound_C(3, "3/2", 7, 1, norm_restarts=2, norm_max_iter=100)
+assert d.commutator_max == c.commutator_max == 0.0 and d.pte_value == d.cardinality > 0
+out = sys.argv[1]
+assert cli.main(["steiner", "gen", "--n", "7", "--k", "3", "--t", "2",
+                 "--out", out + "/d.txt"]) == 0
+assert cli.main(["poly", "rand", "--system", out + "/d.txt", "--out", out + "/p.json"]) == 0
+assert cli.main(["norm", "--poly", out + "/p.json", "--q", "2", "--restarts", "2",
+                 "--out", out + "/norm.json"]) == 0
+"""
+    src = str(Path(vnlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    record = json.loads((tmp_path / "norm.json").read_text())["records"][0]
+    assert record["method_upper"] == "flattening" and record["lower"] > 0
