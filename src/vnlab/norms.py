@@ -12,8 +12,16 @@ Kolda and Mayo, which started from random points picks worse basins than
 the softplus phase does.  For 1 < q < 2 it is that power step carried to
 l_q (_power_step), taken while it raises |p|; the handover comes later
 there, since a power step taken from a saddle's plateau can climb into a
-poorer basin.  max_iter caps the iterations of both phases together.  Upper bounds come from certified
-closed forms, and certified_upper is the one place that picks among them:
+poorer basin.  max_iter caps the iterations of both phases together.
+
+The symmetric multilinear form L of p is itself a k-homogeneous
+polynomial in the k n variables w = (z_1, ..., z_k) (multilinear_lift).
+A maximizer of |L| on the unit l_q ball of C^{kn} has blocks of equal
+norm k^{-1/q}, so multilinear_estimate runs the same ascent on that one
+sphere and scales each block of its witness to the unit sphere.
+
+Upper bounds come from certified closed forms, and certified_upper is the
+one place that picks among them:
 
   * the coefficient absolute sum (any q),
   * the spectral norm of the coefficient-tensor flattening (q = 2), which
@@ -28,10 +36,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
-from .polynomials import HomogeneousPolynomial, polarization_signs
+from .polynomials import HomogeneousPolynomial
 from .util import Exponent, stream
 
 _STEP_GROW = 1.3
@@ -53,8 +62,8 @@ _POWER_SHIFT = 0.5
 class NormEstimate:
     """Ascent lower estimate of a sup with a witness that attains it.
 
-    The witness is a point (n,) for estimate_norm and k vectors (k, n) for
-    multilinear_estimate.
+    For estimate_norm the witness is a point (n,) with ||z||_q = 1; for
+    multilinear_estimate it is the k vectors (k, n), each with ||v||_q = 1.
     """
 
     q: Exponent
@@ -115,34 +124,29 @@ def _batched_ascent(params, value_fn, grad_fn, max_iter, tol):
     return params, values, iterations, converged
 
 
-def _points(params, qf, shape):
-    """Unit-sphere points of shape (R, blocks, n) from parameter rows.
+def _points(params, qf):
+    """Unit-sphere points (R, n) from parameter rows.
 
     At qf = inf a row holds one phase per coordinate, z = exp(i theta).
-    At finite qf it holds, per block, softplus weights w and then phases
-    theta, with magnitudes s / ||s||_q for s = softplus(w).  Returns the
-    points and what _pullback needs (None at qf = inf).
+    At finite qf it holds softplus weights w and then phases theta, with
+    magnitudes s / ||s||_q for s = softplus(w).  Returns the points and
+    what _pullback needs (None at qf = inf).
     """
-    blocks, n = shape
-    # one 2-D row per block, so each block follows the arithmetic of a single vector
-    rows = params.reshape(params.shape[0] * blocks, -1)
     if qf == math.inf:
-        return np.exp(1j * rows).reshape(-1, blocks, n), None
-    w, theta = rows[:, :n], rows[:, n:]
+        return np.exp(1j * params), None
+    n = params.shape[1] // 2
+    w, theta = params[:, :n], params[:, n:]
     s = np.logaddexp(0.0, w)
     nu = (s**qf).sum(axis=1) ** (1.0 / qf)
     phase = np.exp(1j * theta)
-    z = s / nu[:, None] * phase
-    return z.reshape(-1, blocks, n), (phase, s, nu)
+    return s / nu[:, None] * phase, (phase, s, nu)
 
 
 def _pullback(g, z, aux, qf):
     """Parameter-row gradient of |f|^2 from g = 2 conj(f) df/dz at points z."""
-    nrows, n = z.shape[0], z.shape[2]
-    g = g.reshape(-1, n)
     if qf == math.inf:
         # d|f|^2/dtheta_j for z_j = exp(i theta_j)
-        return (-np.imag(g * z.reshape(-1, n))).reshape(nrows, -1)
+        return -np.imag(g * z)
     phase, s, nu = aux
     # chain rule through magnitudes m = s / ||s||_q with s = softplus(w), s' = 1 - e^{-s}
     radial = np.real(g * phase)
@@ -151,21 +155,19 @@ def _pullback(g, z, aux, qf):
         radial / nu[:, None] - s ** (qf - 1.0) * (proj / nu ** (qf + 1.0))[:, None]
     )
     dtheta = -np.imag(g * s / nu[:, None] * phase)
-    return np.concatenate([dw, dtheta], axis=1).reshape(nrows, -1)
+    return np.concatenate([dw, dtheta], axis=1)
 
 
-def _sphere_points(params, shape):
-    """Euclidean unit-sphere points of shape (R, blocks, n) from parameter rows.
+def _sphere_points(params):
+    """Euclidean unit-sphere points (R, n) from parameter rows.
 
-    A row holds, per block, [Re u, Im u] of a nonzero u in C^n, and the
-    point is u / ||u||.  Returns the points and the norms ||u||, one per
-    block, which _sphere_pullback needs.
+    A row holds [Re u, Im u] of a nonzero u in C^n, and the point is
+    u / ||u||.  Returns the points and the norms ||u||, which
+    _sphere_pullback needs.
     """
-    blocks, n = shape
-    rows = params.reshape(params.shape[0] * blocks, -1)
-    norm = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-    z = (rows[:, :n] + 1j * rows[:, n:]) / norm[:, None]
-    return z.reshape(-1, blocks, n), norm
+    n = params.shape[1] // 2
+    norm = np.sqrt(np.einsum("ij,ij->i", params, params))
+    return (params[:, :n] + 1j * params[:, n:]) / norm[:, None], norm
 
 
 def _sphere_pullback(g, z, norm):
@@ -174,35 +176,30 @@ def _sphere_pullback(g, z, norm):
     In real coordinates the gradient at z is conj(g); the normalization
     keeps its part tangent to the sphere and divides it by ||u||.
     """
-    nrows, n = z.shape[0], z.shape[2]
-    g, z = g.reshape(-1, n), z.reshape(-1, n)
     radial = np.real(np.einsum("ij,ij->i", z, g))
     du = (np.conj(g) - radial[:, None] * z) / norm[:, None]
-    return np.concatenate([du.real, du.imag], axis=1).reshape(nrows, -1)
+    return np.concatenate([du.real, du.imag], axis=1)
 
 
 def _power_step(z, f, df, qf):
-    """One shifted l_q power step from the points z (R, blocks, n), 1 < qf < 2.
+    """One shifted l_q power step from the points z (R, n), 1 < qf < 2.
 
-    f (R,) and df (R, blocks, n) are the values and df/dz at z, and f has
-    total degree k in z.  With a = conj(f) df, a maximizer of |f| on the
-    product of l_q spheres has a = k |f|^2 conj(z) |z|^(q-2) in each block
-    (k |f|^2 = Re sum a z by Euler's identity).  The step adds
-    beta k |f|^2 conj(z) |z|^(q-2) to a, the shift of Kolda and Mayo, and
-    maps the sum b to the point of each block's l_q sphere that is dual to
-    it, w = conj(b) |b|^(q'-2) / ||b||_q'^(q'-1) with q' = q / (q - 1), so
-    that a maximizer is a fixed point.  The shift is 0 where z_j = 0.
+    f (R,) and df (R, n) are the values and df/dz at z, and f is
+    k-homogeneous.  With a = conj(f) df, a maximizer of |f| on the l_q
+    sphere has a = k |f|^2 conj(z) |z|^(q-2) (k |f|^2 = Re sum a z by
+    Euler's identity).  The step adds beta k |f|^2 conj(z) |z|^(q-2) to a,
+    the shift of Kolda and Mayo, and maps the sum b to the point of the
+    l_q sphere that is dual to it, w = conj(b) |b|^(q'-2) / ||b||_q'^(q'-1)
+    with q' = q / (q - 1), so that a maximizer is a fixed point.  The shift
+    is 0 where z_j = 0.
     """
-    nrows, blocks, n = z.shape
-    # one 2-D row per block, as in _points
-    z = z.reshape(-1, n)
-    a = (np.conj(f)[:, None, None] * df).reshape(-1, n)
-    lam = np.real(np.einsum("ij,ij->i", a, z)).reshape(nrows, blocks).sum(axis=1)
+    a = np.conj(f)[:, None] * df
+    lam = np.real(np.einsum("ij,ij->i", a, z))
     mag = np.abs(z)
     shift = np.zeros_like(mag)
     np.power(mag, qf - 2.0, out=shift, where=mag > 0.0)
     beta = _POWER_SHIFT / (qf - 1.0)
-    b = a + (beta * np.repeat(lam, blocks))[:, None] * shift * np.conj(z)
+    b = a + (beta * lam)[:, None] * shift * np.conj(z)
     # w does not change when b is scaled; at max |b_j| = 1 the powers of |b|
     # neither overflow nor all underflow when q' is large (q near 1)
     mb = np.abs(b)
@@ -210,23 +207,21 @@ def _power_step(z, f, df, qf):
     b, mb = b / top, mb / top
     dual = qf / (qf - 1.0)
     norm = (mb**dual).sum(axis=1) ** (1.0 / qf)
-    w = np.conj(b) * mb ** (dual - 2.0) / norm[:, None]
-    return w.reshape(nrows, blocks, n)
+    return np.conj(b) * mb ** (dual - 2.0) / norm[:, None]
 
 
-def _power_ascent(objective, z, qf, max_iter):
-    """Shifted l_q power iteration (_power_step) on the rows of z, 1 < qf < 2.
+def _power_ascent(p, z, qf, max_iter):
+    """Shifted l_q power iteration (_power_step) of |p| on the rows of z, 1 < qf < 2.
 
-    objective is _maximize's.  A row takes its step only if |f| rises
-    there; otherwise it stops and counts as converged, as does a row
-    with f = 0.  Each iteration differentiates the live rows only, at
-    their steps, which gives both the test and the next step; every
-    operation treats each block's row on its own, so the result equals
-    that of stepping every row in every iteration.  Returns (points,
-    values |f|, iterations, converged mask).
+    A row takes its step only if |p| rises there; otherwise it stops and
+    counts as converged, as does a row with p = 0.  Each iteration
+    differentiates the live rows only, at their steps, which gives both the
+    test and the next step; every operation treats each row on its own, so
+    the result equals that of stepping every row in every iteration.
+    Returns (points, values |p|, iterations, converged mask).
     """
     z = np.array(z, dtype=np.complex128)
-    f, df = objective(z, True)
+    f, df = p.gradient_batch(z)
     values = np.abs(f)
     live = np.flatnonzero(values > 0.0)
     df = df[live]
@@ -234,7 +229,7 @@ def _power_ascent(objective, z, qf, max_iter):
     while live.size and iterations < max_iter:
         iterations += 1
         w = _power_step(z[live], f[live], df, qf)
-        fw, dfw = objective(w, True)
+        fw, dfw = p.gradient_batch(w)
         up = np.abs(fw) > values[live]
         live = live[up]
         z[live], f[live], values[live], df = w[up], fw[up], np.abs(fw[up]), dfw[up]
@@ -243,115 +238,48 @@ def _power_ascent(objective, z, qf, max_iter):
     return z, values, iterations, converged
 
 
-def _start_rows(shape, qf, restarts, seed, label, extra):
+def _ascend(p, params, points_fn, pullback, max_iter, tol):
+    """_batched_ascent of |p|^2 in the parameter rows of points_fn.
+
+    points_fn maps rows to (points, aux) and pullback(g, points, aux) turns
+    g = 2 conj(p) dp/dz into the rows' gradient.  Returns (points, values
+    |p|^2, iterations, converged mask).
+    """
+
+    def value_fn(params):
+        return np.abs(p.evaluate_batch(points_fn(params)[0])) ** 2
+
+    def grad_fn(params):
+        z, aux = points_fn(params)
+        vals, grads = p.gradient_batch(z)
+        return np.abs(vals) ** 2, pullback(2.0 * np.conj(vals)[:, None] * grads, z, aux)
+
+    params, values, iterations, converged = _batched_ascent(
+        params, value_fn, grad_fn, max_iter, tol
+    )
+    return points_fn(params)[0], values, iterations, converged
+
+
+def _start_rows(n, qf, restarts, seed, extra):
     """Random parameter rows plus rows encoding caller-supplied start points."""
     rows = []
     for r in range(restarts):
-        rng = stream(seed, label, r)
-        theta = rng.uniform(0.0, 2.0 * math.pi, size=shape)
+        rng = stream(seed, "norm-ascent", r)
+        theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
         if qf == math.inf:
             rows.append(theta)
         else:
-            w = rng.normal(0.0, 1.0, size=shape)
-            rows.append(np.concatenate([w, theta], axis=-1))
+            w = rng.normal(0.0, 1.0, size=n)
+            rows.append(np.concatenate([w, theta]))
     for z in extra:
-        z = np.asarray(z, dtype=np.complex128).reshape(shape)
+        z = np.asarray(z, dtype=np.complex128).reshape(n)
         theta = np.angle(z)
         if qf == math.inf:
             rows.append(theta)
         else:
             mag = np.maximum(np.abs(z), 1e-9)
-            rows.append(np.concatenate([np.log(np.expm1(mag) + 1e-300), theta], axis=-1))
-    return np.array(rows, dtype=np.float64).reshape(len(rows), -1)
-
-
-def _maximize(objective, shape, q, restarts, max_iter, seed, label, extra_starts):
-    """Multistart ascent of |f| over products of l_q unit spheres.
-
-    objective(z, grad) takes points of shape (R, blocks, n) and returns the
-    complex values f (R,), or with grad=True the pair (f, df/dz) with df of
-    shape (R, blocks, n).  Returns (points, value, restarts, iterations,
-    converged restarts) for the best row, each block normalized to
-    ||v||_q = 1 and value = |f| evaluated there.
-
-    Every restart first ascends in the rows of _points.  For 1 < q <= 2
-    that phase only picks the basin: it stops at _HANDOVER_TOL (q = 2) or
-    _POWER_HANDOVER_TOL or after half of max_iter, and a second phase runs
-    until a step gains nothing or max_iter is spent.  At q = 2 each row
-    ascends as [Re u, Im u] on the sphere (_sphere_points); for 1 < q < 2
-    each point takes shifted l_q power steps (_power_ascent).  The half
-    keeps iterations for the second phase when one slow restart holds the
-    others back.  iterations counts both phases, and the converged restarts
-    are those of the last phase.
-    """
-    if restarts < 1 and len(extra_starts) == 0:
-        raise ValueError(f"restarts must be >= 1 when no extra starts are given, got {restarts}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    qf = q.as_float()
-
-    def ascend(params, points_fn, pullback, budget, tol):
-        def value_fn(params):
-            return np.abs(objective(points_fn(params)[0], False)) ** 2
-
-        def grad_fn(params):
-            z, aux = points_fn(params)
-            vals, grads = objective(z, True)
-            g = 2.0 * np.conj(vals)[:, None, None] * grads
-            return np.abs(vals) ** 2, pullback(g, z, aux)
-
-        return _batched_ascent(params, value_fn, grad_fn, budget, tol)
-
-    def softplus_points(params):
-        return _points(params, qf, shape)
-
-    def softplus_pullback(g, z, aux):
-        return _pullback(g, z, aux, qf)
-
-    def sphere_points(params):
-        return _sphere_points(params, shape)
-
-    def same_points(z):
-        return z, None
-
-    params = _start_rows(shape, qf, restarts, seed, label, extra_starts)
-    if not 1.0 < qf <= 2.0:
-        params, values, iterations, converged = ascend(
-            params, softplus_points, softplus_pullback, max_iter, _ASCENT_TOL
-        )
-        points_fn = softplus_points
-    else:
-        handover = _HANDOVER_TOL if qf == 2.0 else _POWER_HANDOVER_TOL
-        params, _, iterations, _ = ascend(
-            params, softplus_points, softplus_pullback, max_iter // 2, handover
-        )
-        z = softplus_points(params)[0]
-        if qf == 2.0:
-            params = np.concatenate([z.real, z.imag], axis=-1).reshape(params.shape[0], -1)
-            params, values, last_iterations, converged = ascend(
-                params, sphere_points, _sphere_pullback, max_iter - iterations, 0.0
-            )
-            points_fn = sphere_points
-        else:
-            params, values, last_iterations, converged = _power_ascent(
-                objective, z, qf, max_iter - iterations
-            )
-            points_fn = same_points
-        iterations += last_iterations
-    best = int(np.argmax(values))
-    points = points_fn(params[best : best + 1])[0][0]
-    if not q.is_inf:
-        points = np.array([v / float(np.linalg.norm(v, ord=qf)) for v in points])
-    value = abs(complex(objective(points[None], False)[0]))
-    return points, float(value), params.shape[0], iterations, int(converged.sum())
-
-
-def _zero_witness(shape, q):
-    """Equal-modulus points of shape (blocks, n), each block with ||v||_q = 1."""
-    z = np.ones(shape, dtype=np.complex128)
-    if not q.is_inf:
-        z /= float(np.linalg.norm(z[0], ord=q.as_float()))
-    return z
+            rows.append(np.concatenate([np.log(np.expm1(mag) + 1e-300), theta]))
+    return np.array(rows, dtype=np.float64)
 
 
 def estimate_norm(
@@ -369,32 +297,49 @@ def estimate_norm(
     principle puts a maximizer on the polytorus); for finite q magnitudes are
     reparameterized through a normalized softplus so the iterates stay on the
     unit sphere and the objective stays smooth.  For 1 < q <= 2 every
-    restart then finishes in its basin until a step gains nothing: at
-    q = 2 on the sphere in plain coordinates, for 1 < q < 2 by shifted
-    l_q power steps.  max_iter (at least 1) caps the iterations of both
-    phases together; iterations counts both, and converged_restarts counts
-    the restarts whose last phase stopped before the cap.  Each restart
-    derives its own RNG stream from (seed, restart index).  The witness satisfies the ball
-    constraint and reproduces the reported lower value by direct evaluation.
-    The result is an estimate only; the certified upper end is
+    restart hands over at _HANDOVER_TOL (q = 2) or _POWER_HANDOVER_TOL, or
+    after half of max_iter, and then finishes in its basin until a step
+    gains nothing: at q = 2 on the sphere in plain coordinates
+    (_sphere_points), for 1 < q < 2 by shifted l_q power steps
+    (_power_ascent).  The half keeps iterations for the second phase when
+    one slow restart holds the others back.  max_iter (at least 1) caps the
+    iterations of both phases together; iterations counts both, and
+    converged_restarts counts the restarts whose last phase stopped before
+    the cap.  Each restart derives its own RNG stream from (seed, restart
+    index); extra_starts are further start points.  The witness satisfies
+    the ball constraint and reproduces the reported lower value by direct
+    evaluation.  The result is an estimate only; the certified upper end is
     certified_upper(p, q), which this function does not compute.  The value
     is not clamped, and rounding can lift it a few ulps above an exact sup
     (0.5000000000000001 against 0.5 on a k = 2 polynomial at q = 2).
     """
     q = Exponent.parse(q)
-    if p.term_count == 0:
-        return NormEstimate(q, 0.0, _zero_witness((1, p.n), q)[0], 0, 0, 0)
-
-    def objective(z, grad):
-        if not grad:
-            return p.evaluate_batch(z[:, 0])
-        vals, grads = p.gradient_batch(z[:, 0])
-        return vals, grads[:, None, :]
-
-    points, lower, nrows, iterations, converged = _maximize(
-        objective, (1, p.n), q, restarts, max_iter, seed, "norm-ascent", extra_starts
-    )
-    return NormEstimate(q, lower, points[0], nrows, iterations, converged)
+    if restarts < 1 and len(extra_starts) == 0:
+        raise ValueError(f"restarts must be >= 1 when no extra starts are given, got {restarts}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    qf = q.as_float()
+    softplus = (partial(_points, qf=qf), partial(_pullback, qf=qf))
+    params = _start_rows(p.n, qf, restarts, seed, extra_starts)
+    if not 1.0 < qf <= 2.0:
+        z, values, iterations, converged = _ascend(p, params, *softplus, max_iter, _ASCENT_TOL)
+    else:
+        handover = _HANDOVER_TOL if qf == 2.0 else _POWER_HANDOVER_TOL
+        z, _, iterations, _ = _ascend(p, params, *softplus, max_iter // 2, handover)
+        budget = max_iter - iterations
+        if qf == 2.0:
+            params = np.concatenate([z.real, z.imag], axis=1)
+            z, values, last, converged = _ascend(
+                p, params, _sphere_points, _sphere_pullback, budget, 0.0
+            )
+        else:
+            z, values, last, converged = _power_ascent(p, z, qf, budget)
+        iterations += last
+    witness = z[int(np.argmax(values))]
+    if not q.is_inf:
+        witness = witness / float(np.linalg.norm(witness, ord=qf))
+    lower = abs(p.evaluate(witness))
+    return NormEstimate(q, lower, witness, len(values), iterations, int(converged.sum()))
 
 
 def multilinear_estimate(
@@ -408,35 +353,44 @@ def multilinear_estimate(
 ) -> NormEstimate:
     """Ascent lower estimate for sup |L(z1, ..., zk)| over k unit-ball vectors.
 
-    L is the symmetric multilinear form whose diagonal is p, evaluated by
-    sign averaging; each of the k vectors is constrained to its own l_q ball
-    with the same parameterizations as estimate_norm, and the witness holds
-    the k vectors.  extra_starts entries are (k, n) arrays; seeding one
-    restart from a polynomial witness z (repeated k times) makes the
-    estimate start at the diagonal value.
+    L is the symmetric multilinear form whose diagonal is p.  The ascent is
+    estimate_norm's on multilinear_lift(p) over the unit l_q sphere of
+    C^{kn}; each of the k blocks of its witness is then scaled to
+    ||v||_q = 1, which cannot lower |L|, and lower is |L| there.  The
+    counts are those of the lift's ascent.  extra_starts entries are (k, n)
+    arrays; seeding one restart from a polynomial witness z (repeated k
+    times) makes the ascent start on the diagonal, at the value |p(z)|.
+    Near q = 1 the lift is small on that sphere, and since the ascent's
+    first step scales with |L|^2, its restarts can stop after a few steps.
     """
     q = Exponent.parse(q)
-    k, n = p.k, p.n
-    if p.term_count == 0:
-        return NormEstimate(q, 0.0, _zero_witness((k, n), q), 0, 0, 0)
-    signs, parity, count = polarization_signs(k)
-    scale = 1.0 / count
-
-    def objective(z, grad):
-        nrows = z.shape[0]
-        points = np.einsum("ek,rkn->ren", signs, z).reshape(-1, n)
-        vals, grads = p.gradient_batch(points) if grad else (p.evaluate_batch(points), None)
-        # a row-wise sum over the sign patterns, as in vnlab.kernels
-        form = scale * np.einsum("re,e->r", vals.reshape(nrows, -1), parity)
-        if not grad:
-            return form
-        dform = scale * np.einsum("e,ek,ren->rkn", parity, signs, grads.reshape(nrows, -1, n))
-        return form, dform
-
-    vectors, value, nrows, iterations, converged = _maximize(
-        objective, (k, n), q, restarts, max_iter, seed, "multilinear-ascent", extra_starts
+    lift = multilinear_lift(p)
+    extra = [np.ravel(z) for z in extra_starts]
+    est = estimate_norm(
+        lift, q, restarts=restarts, max_iter=max_iter, seed=seed, extra_starts=extra
     )
-    return NormEstimate(q, value, vectors, nrows, iterations, converged)
+    vectors = est.witness.reshape(p.k, p.n)
+    if not q.is_inf:
+        vectors = vectors / np.linalg.norm(vectors, ord=q.as_float(), axis=1, keepdims=True)
+    lower = abs(lift.evaluate(vectors.ravel()))
+    return NormEstimate(q, lower, vectors, est.restarts, est.iterations, est.converged_restarts)
+
+
+def multilinear_lift(p: HomogeneousPolynomial) -> HomogeneousPolynomial:
+    """The symmetric multilinear form L of p as a polynomial in k n variables.
+
+    With w = (z_1, ..., z_k) concatenated, L(w) has one term per distinct
+    ordering pi of each monomial J of p, with key (pi_1, n + pi_2, ...,
+    (k - 1) n + pi_k) and coefficient c_J mult(J)! / k!, so that
+    L(z, ..., z) = p(z).  L is k-homogeneous in w, and on the unit l_q ball
+    of C^{kn} a maximizer has blocks of norm k^{-1/q} (AM-GM), so the sup
+    over the product of the k unit balls is k^{k/q} times the lift's sup.
+    """
+    orderings, entries = _tensor_entries(p)
+    keys = orderings + p.n * np.arange(p.k)
+    return HomogeneousPolynomial(
+        p.n * p.k, p.k, dict(zip(map(tuple, keys.tolist()), entries.tolist()))
+    )
 
 
 def lambda_constant(k: int, q) -> float:
@@ -509,6 +463,22 @@ def _multiplicity_factorial(key) -> int:
     return math.prod(math.factorial(key.count(x)) for x in set(key))
 
 
+def _tensor_entries(p: HomogeneousPolynomial):
+    """The nonzero entries of the symmetric coefficient tensor of p.
+
+    Returns (orderings, entries): one row of 1-based indices (m, k) for each
+    distinct ordering of each monomial J, in coefficient order, and its
+    entry c_J mult(J)! / k!.
+    """
+    orderings, entries = [], []
+    kfact = math.factorial(p.k)
+    for key, c in p.coeffs.items():
+        distinct = set(itertools.permutations(key))
+        orderings.extend(distinct)
+        entries.extend([c * (_multiplicity_factorial(key) / kfact)] * len(distinct))
+    return np.array(orderings, dtype=np.int64).reshape(-1, p.k), np.array(entries, dtype=complex)
+
+
 def l1_ball_upper_bound(p: HomogeneousPolynomial) -> float:
     """Upper bound on sup of |p| over the unit l1 ball: max_J |c_J| * mult(J)! / k!.
 
@@ -536,18 +506,13 @@ def flattening_upper_bound(p: HomogeneousPolynomial) -> float:
     n, k = p.n, p.k
     if k == 1:
         return float(np.linalg.norm(list(p.coeffs.values())))
-    perms, data = [], []
-    kfact = math.factorial(k)
-    for key, c in p.coeffs.items():
-        distinct = set(itertools.permutations(key))
-        perms.extend(distinct)
-        data.extend([c * (_multiplicity_factorial(key) / kfact)] * len(distinct))
     # M M^* sums a a^* over the columns a of M in ascending order: each entry
     # pairs with every entry of its column, and bincount adds the pairs in turn
-    perms = np.array(perms) - 1
+    perms, data = _tensor_entries(p)
+    perms = perms - 1
     cols = perms[:, 1:] @ n ** np.arange(k - 2, -1, -1)
     order = np.argsort(cols, kind="stable")
-    rows, cols, data = perms[order, 0], cols[order], np.array(data)[order]
+    rows, cols, data = perms[order, 0], cols[order], data[order]
     start = np.searchsorted(cols, cols)
     size = np.searchsorted(cols, cols, side="right") - start
     left = np.repeat(np.arange(cols.size), size)

@@ -125,20 +125,6 @@ def random_steiner_polynomial(system: PartialSteinerSystem, rng) -> HomogeneousP
     return HomogeneousPolynomial(system.n, system.k, coeffs)
 
 
-def polarization_signs(k: int):
-    """Sign table of the polarization formula in k vectors.
-
-    Returns (signs, parity, count): the (2^k, k) rows eps in {-1,+1}^k, the
-    products eps_1 ... eps_k, and the integer 2^k k! that the signed sum of
-    p(sum_j eps_j v_j) is divided by.
-    """
-    signs = np.array(
-        [[1 if (e >> j) & 1 == 0 else -1 for j in range(k)] for e in range(2**k)],
-        dtype=np.float64,
-    )
-    return signs, signs.prod(axis=1), 2**k * math.factorial(k)
-
-
 def polarize_evaluate(p: HomogeneousPolynomial, vectors) -> complex:
     """Symmetric multilinear form of p evaluated at k vectors.
 
@@ -149,6 +135,10 @@ def polarize_evaluate(p: HomogeneousPolynomial, vectors) -> complex:
     vecs = np.asarray(vectors, dtype=np.complex128)
     if vecs.shape != (p.k, p.n):
         raise ValueError(f"expected {p.k} vectors of length {p.n}, got shape {vecs.shape}")
-    signs, parity, count = polarization_signs(p.k)
+    k = p.k
+    signs = np.array(
+        [[1 if (e >> j) & 1 == 0 else -1 for j in range(k)] for e in range(2**k)],
+        dtype=np.float64,
+    )
     vals = p.evaluate_batch(signs @ vecs)
-    return complex((parity * vals).sum() / count)
+    return complex((signs.prod(axis=1) * vals).sum() / (2**k * math.factorial(k)))

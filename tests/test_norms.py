@@ -16,8 +16,9 @@ from vnlab.norms import (
     l1_ball_upper_bound,
     lambda_constant,
     multilinear_estimate,
+    multilinear_lift,
 )
-from vnlab.polynomials import HomogeneousPolynomial, random_steiner_polynomial
+from vnlab.polynomials import HomogeneousPolynomial, polarize_evaluate, random_steiner_polynomial
 from vnlab.rademacher import RademacherProcess
 from vnlab.steiner import fano_system, greedy_generate
 from vnlab.util import Exponent, stream
@@ -126,6 +127,10 @@ def test_zero_polynomial_estimate():
     zero = HomogeneousPolynomial(n=3, k=2, coeffs={})
     est = estimate_norm(zero, 2, restarts=2, seed=0)
     assert est.lower == 0.0 and certified_upper(zero, 2)[0] == 0.0
+    # the counts are checked on the zero polynomial too
+    for counts in (dict(restarts=0), dict(max_iter=0), dict(restarts=0, max_iter=0)):
+        with pytest.raises(ValueError):
+            estimate_norm(zero, 2, **counts)
 
 
 def test_extra_start_can_only_help():
@@ -147,6 +152,7 @@ def test_multilinear_diagonal_matches_polynomial_at_q2():
     )
     assert mul.lower >= est.lower - 1e-9  # diagonal start can only go up
     assert mul.lower <= est.lower + 1e-3  # equality within ascent slack
+    assert abs(polarize_evaluate(p, mul.witness)) == pytest.approx(mul.lower, rel=1e-10)
 
 
 def test_multilinear_linf_sandwich():
@@ -158,10 +164,11 @@ def test_multilinear_linf_sandwich():
     )
     assert mul.lower >= est.lower - 1e-9
     assert mul.lower <= math.sqrt(3) * est.lower + 1e-3
+    assert abs(polarize_evaluate(p, mul.witness)) == pytest.approx(mul.lower, rel=1e-10)
 
 
 def test_multilinear_finite_q_stays_on_the_unit_spheres():
-    # q = 3/2 runs the softplus parameterization on every block
+    # q = 3/2 runs the softplus phase and the power steps on the lift
     p = random_steiner_polynomial(fano_system(), rng=np.random.default_rng(17))
     est = estimate_norm(p, "3/2", restarts=8, seed=11)
     mul = multilinear_estimate(
@@ -171,12 +178,36 @@ def test_multilinear_finite_q_stays_on_the_unit_spheres():
     assert mul.witness.shape == (3, 7)
     for v in mul.witness:
         assert abs(np.linalg.norm(v, ord=1.5) - 1.0) <= 1e-12
+    assert abs(polarize_evaluate(p, mul.witness)) == pytest.approx(mul.lower, rel=1e-10)
+
+
+@pytest.mark.parametrize("q", ["2", "3/2", "3", "inf"])
+def test_multilinear_estimate_scales_the_lift_witness_to_unit_blocks(q):
+    # the ascent is estimate_norm's on the lift; scaling each block of its
+    # witness to the unit sphere multiplies |L| by at least k^{k/q}
+    p = random_steiner_polynomial(fano_system(), rng=np.random.default_rng(23))
+    kwargs = dict(restarts=4, max_iter=300, seed=12)
+    mul = multilinear_estimate(p, q, **kwargs)
+    est = estimate_norm(multilinear_lift(p), q, **kwargs)
+    assert (mul.restarts, mul.iterations, mul.converged_restarts) == (
+        est.restarts, est.iterations, est.converged_restarts
+    )
+    qf = Exponent.parse(q).as_float()
+    scale = mul.witness / est.witness.reshape(3, 7)
+    assert np.allclose(scale, np.abs(scale[:, :1]), rtol=1e-12, atol=0)
+    assert np.allclose(np.linalg.norm(mul.witness, ord=qf, axis=1), 1.0, rtol=0, atol=1e-12)
+    assert mul.lower >= 3 ** (3 / qf) * est.lower * (1 - 1e-12)
+    assert abs(polarize_evaluate(p, mul.witness)) == pytest.approx(mul.lower, rel=1e-10)
 
 
 def test_multilinear_zero_polynomial():
     zero = HomogeneousPolynomial(n=3, k=3, coeffs={})
     mul = multilinear_estimate(zero, 2, restarts=2, seed=0)
     assert mul.lower == 0.0
+    # the counts are checked on the zero polynomial too
+    for counts in (dict(restarts=0), dict(max_iter=0), dict(restarts=0, max_iter=0)):
+        with pytest.raises(ValueError):
+            multilinear_estimate(zero, 2, **counts)
 
 
 @pytest.mark.parametrize("q, qf", [("2", 2.0), ("3/2", 1.5), ("inf", math.inf)])
@@ -414,6 +445,22 @@ def test_flattening_equals_the_column_order_gram():
         assert flattening_upper_bound(p) == math.sqrt(max(top, 0.0))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_multilinear_lift_is_the_polarization(k):
+    # the lift at the concatenated vectors against the sign-average formula,
+    # on complex coefficients over 6 decades with repeated indices
+    for seed in range(3):
+        p = complex_poly(k, 5, seed)
+        lift = multilinear_lift(p)
+        assert (lift.n, lift.k) == (k * p.n, k)
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=(k, p.n)) + 1j * rng.normal(size=(k, p.n))
+        scale = p.coefficient_sum * np.abs(v).sum(axis=1).prod()
+        assert abs(lift.evaluate(v.ravel()) - polarize_evaluate(p, v)) <= 1e-14 * scale
+        # on the diagonal the form is p
+        assert abs(lift.evaluate(np.tile(v[0], k)) - p.evaluate(v[0])) <= 1e-14 * scale
+
+
 def test_flattening_degree_one():
     p = HomogeneousPolynomial(n=3, k=1, coeffs={(1,): 3.0, (2,): 4.0})
     assert flattening_upper_bound(p) == pytest.approx(5.0, rel=1e-14)
@@ -455,44 +502,38 @@ def test_row_norm_certificate_theory():
 # ------------------------------------------ second phase for 1 < q <= 2
 
 
-def single_phase_ascent(objective, shape, q, restarts, max_iter, seed, label, extra_starts):
-    """_maximize without its second phase: softplus-phase rows from
-    _start_rows, run to _ASCENT_TOL.  Returns |f| at the best row, found and
-    normalized as _maximize does."""
-    qf = q.as_float()
+def single_phase_ascent(p, q, *, restarts, max_iter, seed):
+    """estimate_norm without its second phase: softplus-phase rows from
+    _start_rows, run to _ASCENT_TOL.  Returns |p| at the best row, found and
+    normalized as estimate_norm does."""
+    qf = Exponent.parse(q).as_float()
 
     def value_fn(params):
-        return np.abs(objective(norms._points(params, qf, shape)[0], False)) ** 2
+        return np.abs(p.evaluate_batch(norms._points(params, qf)[0])) ** 2
 
     def grad_fn(params):
-        z, aux = norms._points(params, qf, shape)
-        vals, grads = objective(z, True)
-        g = 2.0 * np.conj(vals)[:, None, None] * grads
+        z, aux = norms._points(params, qf)
+        vals, grads = p.gradient_batch(z)
+        g = 2.0 * np.conj(vals)[:, None] * grads
         return np.abs(vals) ** 2, norms._pullback(g, z, aux, qf)
 
-    params = norms._start_rows(shape, qf, restarts, seed, label, extra_starts)
+    params = norms._start_rows(p.n, qf, restarts, seed, ())
     params, values, _, _ = norms._batched_ascent(
         params, value_fn, grad_fn, max_iter, norms._ASCENT_TOL
     )
     best = int(np.argmax(values))
-    z = norms._points(params[best : best + 1], qf, shape)[0][0]
-    z = np.array([v / float(np.linalg.norm(v, ord=qf)) for v in z])
-    return abs(complex(objective(z[None], False)[0]))
+    z = norms._points(params[best : best + 1], qf)[0][0]
+    return abs(p.evaluate(z / float(np.linalg.norm(z, ord=qf))))
 
 
-def estimate_and_single_phase(monkeypatch, estimator, p, q, **kwargs):
-    """The estimator's value and single_phase_ascent's on the objective and
-    arguments the estimator hands to _maximize."""
-    calls, real = [], norms._maximize
-
-    def recorded(*args):
-        calls.append(args)
-        return real(*args)
-
-    with monkeypatch.context() as m:
-        m.setattr(norms, "_maximize", recorded)
-        est = estimator(p, q, **kwargs)
-    return est.lower, single_phase_ascent(*calls[0])
+def estimate_and_single_phase(estimator, p, q, **kwargs):
+    """estimate_norm's value and single_phase_ascent's on the same
+    polynomial and arguments.  multilinear_estimate runs estimate_norm on
+    the lift, so its case compares the two on the lift, before the
+    per-block rescale."""
+    if estimator == "multilinear_estimate":
+        p = multilinear_lift(p)
+    return estimate_norm(p, q, **kwargs).lower, single_phase_ascent(p, q, **kwargs)
 
 
 def chaos_draw(n, seed):
@@ -503,14 +544,14 @@ def chaos_draw(n, seed):
 @pytest.mark.parametrize(
     "kind, k, n", [("D", 3, 7), ("D", 3, 13), ("D", 3, 25), ("D", 4, 7), ("chaos", 3, 13)]
 )
-def test_q2_estimate_is_at_least_the_single_phase_ascent(monkeypatch, kind, k, n):
+def test_q2_estimate_is_at_least_the_single_phase_ascent(kind, k, n):
     if kind == "D":
         p = bounds._pipeline_inputs(k, n, seed=1)[1]
         kwargs = dict(restarts=16, max_iter=800, seed=1)  # a pipeline cell's ascent
     else:
         p = chaos_draw(n, seed=5)
         kwargs = dict(restarts=32, max_iter=2000, seed=5)  # sample_sup's ascent
-    got, single = estimate_and_single_phase(monkeypatch, estimate_norm, p, 2, **kwargs)
+    got, single = estimate_and_single_phase("estimate_norm", p, 2, **kwargs)
     assert got >= single
 
 
@@ -526,38 +567,38 @@ def phased(p, seed):
 @pytest.mark.parametrize(
     "kind, k, n", [("D", 3, 9), ("D", 3, 13), ("D", 3, 19), ("D", 4, 13), ("phased", 3, 13)]
 )
-@pytest.mark.parametrize("estimator", [estimate_norm, multilinear_estimate])
-def test_low_q_estimate_is_at_least_the_single_phase_ascent(monkeypatch, estimator, kind, k, n, q):
+@pytest.mark.parametrize("estimator", ["estimate_norm", "multilinear_estimate"])
+def test_low_q_estimate_is_at_least_the_single_phase_ascent(estimator, kind, k, n, q):
     # at k = 4, n = 13, q = 5/4 the estimate fell with beta = 1 and a 1e-4 handover
     p = bounds._pipeline_inputs(k, n, seed=1)[1]
     if kind == "phased":
         p = phased(p, seed=n)
     # a pipeline cell's ascent; half its restarts for the costlier multilinear form
-    restarts = 16 if estimator is estimate_norm else 8
+    restarts = 16 if estimator == "estimate_norm" else 8
     kwargs = dict(restarts=restarts, max_iter=800, seed=1)
-    got, single = estimate_and_single_phase(monkeypatch, estimator, p, q, **kwargs)
+    got, single = estimate_and_single_phase(estimator, p, q, **kwargs)
     assert got >= single
 
 
-def test_low_q_handover_waits_past_a_saddle_plateau(monkeypatch):
+def test_low_q_handover_waits_past_a_saddle_plateau():
     # a c_sweep cell where a handover at q = 2's 1e-4 fell by 4.8 %: one restart
     # handed over on a saddle's plateau, and its power steps climbed into a
     # poorer basin than the softplus-phase ascent reaches
     seed = 1225710300
     p = bounds._pipeline_inputs(3, 22, seed)[1]
     kwargs = dict(restarts=16, max_iter=800, seed=seed)  # the cell's ascent
-    got, single = estimate_and_single_phase(monkeypatch, estimate_norm, p, "3/2", **kwargs)
+    got, single = estimate_and_single_phase("estimate_norm", p, "3/2", **kwargs)
     assert got >= single
 
 
-@pytest.mark.parametrize("estimator", [estimate_norm, multilinear_estimate])
-def test_low_q_power_phase_stays_finite_near_q_1(monkeypatch, estimator):
+@pytest.mark.parametrize("estimator", ["estimate_norm", "multilinear_estimate"])
+def test_low_q_power_phase_stays_finite_near_q_1(estimator):
     # q' = 101 at q = 101/100: |b|^q' of an unscaled step underflows to 0
     p = bounds._pipeline_inputs(3, 13, seed=1)[1]
     kwargs = dict(restarts=8, max_iter=400, seed=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got, single = estimate_and_single_phase(monkeypatch, estimator, p, "101/100", **kwargs)
+        got, single = estimate_and_single_phase(estimator, p, "101/100", **kwargs)
     assert got >= single
 
 
@@ -596,21 +637,21 @@ def test_low_q_ascent_reaches_exact_values(q):
 
 @pytest.mark.parametrize("blocks", [1, 3])
 def test_sphere_pullback_is_the_gradient(blocks):
-    # central differences of |f(u / ||u||)|^2 with f(z) = sum_b p(z_b), at
-    # rows whose blocks have norms far from 1
+    # central differences of |f(u / ||u||)|^2 at rows with norms far from 1,
+    # for the Fano polynomial (1 block of 7 variables) and for its lift
+    # (3 blocks of 7)
     p = random_steiner_polynomial(fano_system(), rng=np.random.default_rng(21))
-    shape = (blocks, p.n)
-    params = 1.7 * np.random.default_rng(22).normal(size=(3, blocks * 2 * p.n))
+    if blocks == 3:
+        p = multilinear_lift(p)
+    assert p.n == 7 * blocks
+    params = 1.7 * np.random.default_rng(22).normal(size=(3, 2 * p.n))
 
     def value(params):
-        z = norms._sphere_points(params, shape)[0]
-        return np.abs(p.evaluate_batch(z.reshape(-1, p.n)).reshape(-1, blocks).sum(axis=1)) ** 2
+        return np.abs(p.evaluate_batch(norms._sphere_points(params)[0])) ** 2
 
-    z, norm = norms._sphere_points(params, shape)
-    vals, grads = p.gradient_batch(z.reshape(-1, p.n))
-    f = vals.reshape(-1, blocks).sum(axis=1)
-    g = 2.0 * np.conj(f)[:, None, None] * grads.reshape(z.shape)
-    got = norms._sphere_pullback(g, z, norm)
+    z, norm = norms._sphere_points(params)
+    vals, grads = p.gradient_batch(z)
+    got = norms._sphere_pullback(2.0 * np.conj(vals)[:, None] * grads, z, norm)
     h = 1e-6
     want = np.empty_like(params)
     for j in range(params.shape[1]):
@@ -667,18 +708,18 @@ def full_batch_ascent(params, value_fn, grad_fn, max_iter, tol):
     return params, values, iterations, converged
 
 
-def full_batch_power_ascent(objective, z, qf, max_iter):
+def full_batch_power_ascent(p, z, qf, max_iter):
     """The power phase with every row stepped and differentiated in every
     iteration; a stopped row discards its step."""
     z = np.array(z, dtype=np.complex128)
-    f, df = objective(z, True)
+    f, df = p.gradient_batch(z)
     values = np.abs(f)
     converged = values == 0.0
     iterations = 0
     while not converged.all() and iterations < max_iter:
         iterations += 1
         w = norms._power_step(z, f, df, qf)
-        fw, dfw = objective(w, True)
+        fw, dfw = p.gradient_batch(w)
         up = ~converged & (np.abs(fw) > values)
         converged |= ~up
         z[up], f[up], values[up], df[up] = w[up], fw[up], np.abs(fw[up]), dfw[up]
