@@ -18,7 +18,8 @@ The symmetric multilinear form L of p is itself a k-homogeneous
 polynomial in the k n variables w = (z_1, ..., z_k) (multilinear_lift).
 A maximizer of |L| on the unit l_q ball of C^{kn} has blocks of equal
 norm k^{-1/q}, so multilinear_estimate runs the same ascent on that one
-sphere and scales each block of its witness to the unit sphere.
+sphere, on the lift scaled to the units of its sup (_ascended_lift), and
+scales each block of its witness to the unit sphere.
 
 Upper bounds come from certified closed forms, and certified_upper is the
 one place that picks among them:
@@ -191,15 +192,22 @@ def _power_step(z, f, df, qf):
     the shift of Kolda and Mayo, and maps the sum b to the point of the
     l_q sphere that is dual to it, w = conj(b) |b|^(q'-2) / ||b||_q'^(q'-1)
     with q' = q / (q - 1), so that a maximizer is a fixed point.  The shift
-    is 0 where z_j = 0.
+    is 0 where z_j = 0.  Where the shift term overflows (a subnormal z_j, q
+    near 1), it is taken as beta k |f|^2 |z_j|^(q-1) times the conjugate
+    phase of z_j, which is finite.
     """
     a = np.conj(f)[:, None] * df
     lam = np.real(np.einsum("ij,ij->i", a, z))
     mag = np.abs(z)
     shift = np.zeros_like(mag)
-    np.power(mag, qf - 2.0, out=shift, where=mag > 0.0)
     beta = _POWER_SHIFT / (qf - 1.0)
-    b = a + (beta * lam)[:, None] * shift * np.conj(z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.power(mag, qf - 2.0, out=shift, where=mag > 0.0)
+        push = (beta * lam)[:, None] * shift * np.conj(z)
+    if not np.isfinite(push).all():
+        i, j = np.nonzero(~np.isfinite(push))
+        push[i, j] = beta * lam[i] * mag[i, j] ** (qf - 1.0) * np.exp(-1j * np.angle(z[i, j]))
+    b = a + push
     # w does not change when b is scaled; at max |b_j| = 1 the powers of |b|
     # neither overflow nor all underflow when q' is large (q near 1)
     mb = np.abs(b)
@@ -354,26 +362,39 @@ def multilinear_estimate(
     """Ascent lower estimate for sup |L(z1, ..., zk)| over k unit-ball vectors.
 
     L is the symmetric multilinear form whose diagonal is p.  The ascent is
-    estimate_norm's on multilinear_lift(p) over the unit l_q sphere of
-    C^{kn}; each of the k blocks of its witness is then scaled to
-    ||v||_q = 1, which cannot lower |L|, and lower is |L| there.  The
-    counts are those of the lift's ascent.  extra_starts entries are (k, n)
-    arrays; seeding one restart from a polynomial witness z (repeated k
-    times) makes the ascent start on the diagonal, at the value |p(z)|.
-    Near q = 1 the lift is small on that sphere, and since the ascent's
-    first step scales with |L|^2, its restarts can stop after a few steps.
+    estimate_norm's on _ascended_lift(multilinear_lift(p), q) over the unit
+    l_q sphere of C^{kn}; each of the k blocks of its witness is then
+    scaled to ||v||_q = 1, which cannot lower |L|, and lower is |L| there.
+    The counts are those of the lift's ascent.  extra_starts entries are
+    (k, n) arrays; seeding one restart from a polynomial witness z
+    (repeated k times) makes the ascent start on the diagonal, at the value
+    |p(z)|.  The lift has up to k! terms per monomial of p, so a step costs
+    up to k! / 2^k times a 2^k-point sign average of p (3.75 at k = 5).
     """
     q = Exponent.parse(q)
     lift = multilinear_lift(p)
     extra = [np.ravel(z) for z in extra_starts]
-    est = estimate_norm(
-        lift, q, restarts=restarts, max_iter=max_iter, seed=seed, extra_starts=extra
-    )
+    kwargs = dict(restarts=restarts, max_iter=max_iter, seed=seed, extra_starts=extra)
+    est = estimate_norm(_ascended_lift(lift, q), q, **kwargs)
     vectors = est.witness.reshape(p.k, p.n)
     if not q.is_inf:
         vectors = vectors / np.linalg.norm(vectors, ord=q.as_float(), axis=1, keepdims=True)
     lower = abs(lift.evaluate(vectors.ravel()))
     return NormEstimate(q, lower, vectors, est.restarts, est.iterations, est.converged_restarts)
+
+
+def _ascended_lift(lift: HomogeneousPolynomial, q: Exponent) -> HomogeneousPolynomial:
+    """The lift times k^{k/q} / c, the form that multilinear_estimate ascends.
+
+    c is the lift's largest |coefficient| (1 for the zero form), the sup of
+    |L| over the k unit l1 balls.  On blocks of norm k^{-1/q} the scaled
+    form is |L| at the unit blocks over c, so its sup is at least 1 at
+    every q.  The ascent steps in absolute units of |f|^2; unscaled, the
+    lift is too small near q = 1 for it to climb.
+    """
+    top = max(map(abs, lift.coeffs.values()), default=1.0)
+    scale = lift.k ** (lift.k / q.as_float()) / top
+    return HomogeneousPolynomial(lift.n, lift.k, {j: scale * c for j, c in lift.coeffs.items()})
 
 
 def multilinear_lift(p: HomogeneousPolynomial) -> HomogeneousPolynomial:

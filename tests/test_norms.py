@@ -183,21 +183,54 @@ def test_multilinear_finite_q_stays_on_the_unit_spheres():
 
 @pytest.mark.parametrize("q", ["2", "3/2", "3", "inf"])
 def test_multilinear_estimate_scales_the_lift_witness_to_unit_blocks(q):
-    # the ascent is estimate_norm's on the lift; scaling each block of its
-    # witness to the unit sphere multiplies |L| by at least k^{k/q}
+    # the ascent is estimate_norm's on the lift times k^{k/q} / c, with c its
+    # largest |coefficient|; scaling each block of its witness to the unit
+    # sphere multiplies |L| by at least k^{k/q}
     p = random_steiner_polynomial(fano_system(), rng=np.random.default_rng(23))
     kwargs = dict(restarts=4, max_iter=300, seed=12)
     mul = multilinear_estimate(p, q, **kwargs)
-    est = estimate_norm(multilinear_lift(p), q, **kwargs)
+    q = Exponent.parse(q)
+    qf = q.as_float()
+    lift = multilinear_lift(p)
+    ascended = norms._ascended_lift(lift, q)
+    scale = 3 ** (3 / qf) / max(abs(c) for c in lift.coeffs.values())
+    for key, c in lift.coeffs.items():
+        assert ascended.coeffs[key] == pytest.approx(scale * c, rel=1e-15)
+    est = estimate_norm(ascended, q, **kwargs)
     assert (mul.restarts, mul.iterations, mul.converged_restarts) == (
         est.restarts, est.iterations, est.converged_restarts
     )
-    qf = Exponent.parse(q).as_float()
-    scale = mul.witness / est.witness.reshape(3, 7)
-    assert np.allclose(scale, np.abs(scale[:, :1]), rtol=1e-12, atol=0)
+    ratio = mul.witness / est.witness.reshape(3, 7)
+    assert np.allclose(ratio, np.abs(ratio[:, :1]), rtol=1e-12, atol=0)
     assert np.allclose(np.linalg.norm(mul.witness, ord=qf, axis=1), 1.0, rtol=0, atol=1e-12)
-    assert mul.lower >= 3 ** (3 / qf) * est.lower * (1 - 1e-12)
+    assert mul.lower >= 3 ** (3 / qf) * est.lower / scale * (1 - 1e-12)
     assert abs(polarize_evaluate(p, mul.witness)) == pytest.approx(mul.lower, rel=1e-10)
+
+
+@pytest.mark.parametrize("k, n, q", [(3, 13, "101/100"), (3, 13, "5/4"), (4, 13, "5/4")])
+def test_multilinear_estimate_is_at_least_the_polynomial_estimate(k, n, q):
+    # sup |L| >= sup |p|, since L(z, ..., z) = p(z); unseeded, near q = 1,
+    # where the lift's values on the sphere of C^{kn} are smallest
+    p = bounds._pipeline_inputs(k, n, seed=1)[1]
+    est = estimate_norm(p, q, restarts=16, max_iter=800, seed=1)  # a pipeline cell's ascent
+    mul = multilinear_estimate(p, q, restarts=8, max_iter=800, seed=1)
+    assert mul.lower >= est.lower
+    # the sup over the unit l1 balls, 1 / k!, is attained by basis vectors
+    assert mul.lower >= 1 / math.factorial(k) * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("q", ["5/4", "2", "inf"])
+def test_multilinear_estimate_does_not_depend_on_the_scale_of_p(q):
+    # scaling p by a power of 2 scales the lift exactly and leaves the
+    # ascended form unchanged, so the witness is the same and lower scales
+    p = random_steiner_polynomial(fano_system(), rng=np.random.default_rng(24))
+    small = HomogeneousPolynomial(p.n, p.k, {key: c * 2.0**-30 for key, c in p.coeffs.items()})
+    kwargs = dict(restarts=4, max_iter=300, seed=13)
+    mul = multilinear_estimate(p, q, **kwargs)
+    got = multilinear_estimate(small, q, **kwargs)
+    assert np.array_equal(got.witness, mul.witness)
+    assert got.lower == mul.lower * 2.0**-30
+    assert got.iterations == mul.iterations
 
 
 def test_multilinear_zero_polynomial():
@@ -526,14 +559,19 @@ def single_phase_ascent(p, q, *, restarts, max_iter, seed):
     return abs(p.evaluate(z / float(np.linalg.norm(z, ord=qf))))
 
 
-def estimate_and_single_phase(estimator, p, q, **kwargs):
+def estimate_and_single_phase(p, q, **kwargs):
     """estimate_norm's value and single_phase_ascent's on the same
-    polynomial and arguments.  multilinear_estimate runs estimate_norm on
-    the lift, so its case compares the two on the lift, before the
-    per-block rescale."""
-    if estimator == "multilinear_estimate":
-        p = multilinear_lift(p)
+    polynomial and arguments."""
     return estimate_norm(p, q, **kwargs).lower, single_phase_ascent(p, q, **kwargs)
+
+
+# the form each estimator ascends: p itself, and for multilinear_estimate its
+# scaled lift, so the multilinear cases compare values before the per-block rescale
+ASCENDED_FORMS = pytest.mark.parametrize(
+    "ascended",
+    [lambda p, q: p, lambda p, q: norms._ascended_lift(multilinear_lift(p), Exponent.parse(q))],
+    ids=["estimate_norm", "multilinear_estimate"],
+)
 
 
 def chaos_draw(n, seed):
@@ -551,7 +589,7 @@ def test_q2_estimate_is_at_least_the_single_phase_ascent(kind, k, n):
     else:
         p = chaos_draw(n, seed=5)
         kwargs = dict(restarts=32, max_iter=2000, seed=5)  # sample_sup's ascent
-    got, single = estimate_and_single_phase("estimate_norm", p, 2, **kwargs)
+    got, single = estimate_and_single_phase(p, 2, **kwargs)
     assert got >= single
 
 
@@ -567,16 +605,16 @@ def phased(p, seed):
 @pytest.mark.parametrize(
     "kind, k, n", [("D", 3, 9), ("D", 3, 13), ("D", 3, 19), ("D", 4, 13), ("phased", 3, 13)]
 )
-@pytest.mark.parametrize("estimator", ["estimate_norm", "multilinear_estimate"])
-def test_low_q_estimate_is_at_least_the_single_phase_ascent(estimator, kind, k, n, q):
+@ASCENDED_FORMS
+def test_low_q_estimate_is_at_least_the_single_phase_ascent(ascended, kind, k, n, q):
     # at k = 4, n = 13, q = 5/4 the estimate fell with beta = 1 and a 1e-4 handover
     p = bounds._pipeline_inputs(k, n, seed=1)[1]
     if kind == "phased":
         p = phased(p, seed=n)
+    form = ascended(p, q)
     # a pipeline cell's ascent; half its restarts for the costlier multilinear form
-    restarts = 16 if estimator == "estimate_norm" else 8
-    kwargs = dict(restarts=restarts, max_iter=800, seed=1)
-    got, single = estimate_and_single_phase(estimator, p, q, **kwargs)
+    kwargs = dict(restarts=16 if form is p else 8, max_iter=800, seed=1)
+    got, single = estimate_and_single_phase(form, q, **kwargs)
     assert got >= single
 
 
@@ -587,19 +625,21 @@ def test_low_q_handover_waits_past_a_saddle_plateau():
     seed = 1225710300
     p = bounds._pipeline_inputs(3, 22, seed)[1]
     kwargs = dict(restarts=16, max_iter=800, seed=seed)  # the cell's ascent
-    got, single = estimate_and_single_phase("estimate_norm", p, "3/2", **kwargs)
+    got, single = estimate_and_single_phase(p, "3/2", **kwargs)
     assert got >= single
 
 
-@pytest.mark.parametrize("estimator", ["estimate_norm", "multilinear_estimate"])
-def test_low_q_power_phase_stays_finite_near_q_1(estimator):
+@ASCENDED_FORMS
+def test_low_q_power_phase_stays_finite_near_q_1(ascended):
     # q' = 101 at q = 101/100: |b|^q' of an unscaled step underflows to 0
     p = bounds._pipeline_inputs(3, 13, seed=1)[1]
     kwargs = dict(restarts=8, max_iter=400, seed=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got, single = estimate_and_single_phase(estimator, p, "101/100", **kwargs)
+        got, single = estimate_and_single_phase(ascended(p, "101/100"), "101/100", **kwargs)
+        mul = multilinear_estimate(p, "101/100", **kwargs)
     assert got >= single
+    assert mul.lower >= 1 / 6 * (1 - 1e-12)
 
 
 def test_q2_ascent_reaches_exact_values():
