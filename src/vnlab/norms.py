@@ -5,14 +5,12 @@ Lower estimates come from multistart projected gradient ascent on |p(z)|^2
 restart ascends in its phases at q = inf and in softplus magnitudes and
 phases at finite q.  For 1 < q <= 2 this softplus phase only picks the
 basin: it stops once a step gains little, and each restart then finishes
-in its basin with a step that converges fast there.  At q = 2 that is an
-ascent in plain coordinates u on the sphere, z = u / ||u||, until a step
-gains nothing; its normalized gradient step is the shifted power step of
-Kolda and Mayo, which started from random points picks worse basins than
-the softplus phase does.  For 1 < q < 2 it is that power step carried to
-l_q (_power_step), taken while it raises |p|; the handover comes later
-there, since a power step taken from a saddle's plateau can climb into a
-poorer basin.  max_iter caps the iterations of both phases together.
+in its basin with shifted l_q power steps (_power_step), taken while they
+raise |p|.  At q = 2 that is the shifted power step of Kolda and Mayo,
+which started from random points picks worse basins than the softplus
+phase does.  Below 2 the handover comes later, since a power step taken
+from a saddle's plateau can climb into a poorer basin.  max_iter caps the
+iterations of both phases together.
 
 The symmetric multilinear form L of p is itself a k-homogeneous
 polynomial in the k n variables w = (z_1, ..., z_k) (multilinear_lift).
@@ -37,7 +35,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
@@ -50,12 +47,13 @@ _STEP_FLOOR = 1e-18
 _BACKTRACK_LIMIT = 60
 # a restart has converged once an accepted step gains at most this relative amount
 _ASCENT_TOL = 1e-10
-# at q = 2 the softplus-phase ascent hands a restart to the sphere ascent here
+# at q = 2 the softplus-phase ascent hands a restart to the power steps here;
+# 1e-7 there costs more softplus steps and finds the same values
 _HANDOVER_TOL = 1e-4
-# and for 1 < q < 2 to the l_q power steps here: a single small step can fall on
-# a saddle's plateau, from which a power step may climb into a poorer basin
+# and for 1 < q < 2 here: a single small step can fall on a saddle's
+# plateau, from which a power step may climb into a poorer basin
 _POWER_HANDOVER_TOL = 1e-7
-# the shift of the l_q power step for 1 < q < 2 is beta = _POWER_SHIFT / (q - 1)
+# the shift of the l_q power step is beta = _POWER_SHIFT / (q - 1)
 _POWER_SHIFT = 0.5
 
 
@@ -159,31 +157,8 @@ def _pullback(g, z, aux, qf):
     return np.concatenate([dw, dtheta], axis=1)
 
 
-def _sphere_points(params):
-    """Euclidean unit-sphere points (R, n) from parameter rows.
-
-    A row holds [Re u, Im u] of a nonzero u in C^n, and the point is
-    u / ||u||.  Returns the points and the norms ||u||, which
-    _sphere_pullback needs.
-    """
-    n = params.shape[1] // 2
-    norm = np.sqrt(np.einsum("ij,ij->i", params, params))
-    return (params[:, :n] + 1j * params[:, n:]) / norm[:, None], norm
-
-
-def _sphere_pullback(g, z, norm):
-    """Parameter-row gradient of |f(u / ||u||)|^2 from g = 2 conj(f) df/dz.
-
-    In real coordinates the gradient at z is conj(g); the normalization
-    keeps its part tangent to the sphere and divides it by ||u||.
-    """
-    radial = np.real(np.einsum("ij,ij->i", z, g))
-    du = (np.conj(g) - radial[:, None] * z) / norm[:, None]
-    return np.concatenate([du.real, du.imag], axis=1)
-
-
 def _power_step(z, f, df, qf):
-    """One shifted l_q power step from the points z (R, n), 1 < qf < 2.
+    """One shifted l_q power step from the points z (R, n), 1 < qf <= 2.
 
     f (R,) and df (R, n) are the values and df/dz at z, and f is
     k-homogeneous.  With a = conj(f) df, a maximizer of |f| on the l_q
@@ -219,7 +194,7 @@ def _power_step(z, f, df, qf):
 
 
 def _power_ascent(p, z, qf, max_iter):
-    """Shifted l_q power iteration (_power_step) of |p| on the rows of z, 1 < qf < 2.
+    """Shifted l_q power iteration (_power_step) of |p| on the rows of z, 1 < qf <= 2.
 
     A row takes its step only if |p| rises there; otherwise it stops and
     counts as converged, as does a row with p = 0.  Each iteration
@@ -246,26 +221,24 @@ def _power_ascent(p, z, qf, max_iter):
     return z, values, iterations, converged
 
 
-def _ascend(p, params, points_fn, pullback, max_iter, tol):
-    """_batched_ascent of |p|^2 in the parameter rows of points_fn.
+def _ascend(p, params, qf, max_iter, tol):
+    """_batched_ascent of |p|^2 in the parameter rows of _points.
 
-    points_fn maps rows to (points, aux) and pullback(g, points, aux) turns
-    g = 2 conj(p) dp/dz into the rows' gradient.  Returns (points, values
-    |p|^2, iterations, converged mask).
+    Returns (points, values |p|^2, iterations, converged mask).
     """
 
     def value_fn(params):
-        return np.abs(p.evaluate_batch(points_fn(params)[0])) ** 2
+        return np.abs(p.evaluate_batch(_points(params, qf)[0])) ** 2
 
     def grad_fn(params):
-        z, aux = points_fn(params)
+        z, aux = _points(params, qf)
         vals, grads = p.gradient_batch(z)
-        return np.abs(vals) ** 2, pullback(2.0 * np.conj(vals)[:, None] * grads, z, aux)
+        return np.abs(vals) ** 2, _pullback(2.0 * np.conj(vals)[:, None] * grads, z, aux, qf)
 
     params, values, iterations, converged = _batched_ascent(
         params, value_fn, grad_fn, max_iter, tol
     )
-    return points_fn(params)[0], values, iterations, converged
+    return _points(params, qf)[0], values, iterations, converged
 
 
 def _start_rows(n, qf, restarts, seed, extra):
@@ -306,20 +279,19 @@ def estimate_norm(
     reparameterized through a normalized softplus so the iterates stay on the
     unit sphere and the objective stays smooth.  For 1 < q <= 2 every
     restart hands over at _HANDOVER_TOL (q = 2) or _POWER_HANDOVER_TOL, or
-    after half of max_iter, and then finishes in its basin until a step
-    gains nothing: at q = 2 on the sphere in plain coordinates
-    (_sphere_points), for 1 < q < 2 by shifted l_q power steps
-    (_power_ascent).  The half keeps iterations for the second phase when
-    one slow restart holds the others back.  max_iter (at least 1) caps the
-    iterations of both phases together; iterations counts both, and
-    converged_restarts counts the restarts whose last phase stopped before
-    the cap.  Each restart derives its own RNG stream from (seed, restart
-    index); extra_starts are further start points.  The witness satisfies
-    the ball constraint and reproduces the reported lower value by direct
-    evaluation.  The result is an estimate only; the certified upper end is
-    certified_upper(p, q), which this function does not compute.  The value
-    is not clamped, and rounding can lift it a few ulps above an exact sup
-    (0.5000000000000001 against 0.5 on a k = 2 polynomial at q = 2).
+    after half of max_iter, and then finishes in its basin by shifted l_q
+    power steps until a step gains nothing (_power_ascent).  The half keeps
+    iterations for the second phase when one slow restart holds the others
+    back.  max_iter (at least 1) caps the iterations of both phases
+    together; iterations counts both, and converged_restarts counts the
+    restarts whose last phase stopped before the cap.  Each restart derives
+    its own RNG stream from (seed, restart index); extra_starts are further
+    start points.  The witness satisfies the ball constraint and reproduces
+    the reported lower value by direct evaluation.  The result is an
+    estimate only; the certified upper end is certified_upper(p, q), which
+    this function does not compute.  The value is not clamped, and rounding
+    can lift it a few ulps above an exact sup (0.5000000000000002 against
+    0.5 on a k = 2 polynomial at q = 2).
     """
     q = Exponent.parse(q)
     if restarts < 1 and len(extra_starts) == 0:
@@ -327,21 +299,13 @@ def estimate_norm(
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     qf = q.as_float()
-    softplus = (partial(_points, qf=qf), partial(_pullback, qf=qf))
     params = _start_rows(p.n, qf, restarts, seed, extra_starts)
     if not 1.0 < qf <= 2.0:
-        z, values, iterations, converged = _ascend(p, params, *softplus, max_iter, _ASCENT_TOL)
+        z, values, iterations, converged = _ascend(p, params, qf, max_iter, _ASCENT_TOL)
     else:
         handover = _HANDOVER_TOL if qf == 2.0 else _POWER_HANDOVER_TOL
-        z, _, iterations, _ = _ascend(p, params, *softplus, max_iter // 2, handover)
-        budget = max_iter - iterations
-        if qf == 2.0:
-            params = np.concatenate([z.real, z.imag], axis=1)
-            z, values, last, converged = _ascend(
-                p, params, _sphere_points, _sphere_pullback, budget, 0.0
-            )
-        else:
-            z, values, last, converged = _power_ascent(p, z, qf, budget)
+        z, _, iterations, _ = _ascend(p, params, qf, max_iter // 2, handover)
+        z, values, last, converged = _power_ascent(p, z, qf, max_iter - iterations)
         iterations += last
     witness = z[int(np.argmax(values))]
     if not q.is_inf:

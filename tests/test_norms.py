@@ -540,23 +540,10 @@ def single_phase_ascent(p, q, *, restarts, max_iter, seed):
     _start_rows, run to _ASCENT_TOL.  Returns |p| at the best row, found and
     normalized as estimate_norm does."""
     qf = Exponent.parse(q).as_float()
-
-    def value_fn(params):
-        return np.abs(p.evaluate_batch(norms._points(params, qf)[0])) ** 2
-
-    def grad_fn(params):
-        z, aux = norms._points(params, qf)
-        vals, grads = p.gradient_batch(z)
-        g = 2.0 * np.conj(vals)[:, None] * grads
-        return np.abs(vals) ** 2, norms._pullback(g, z, aux, qf)
-
     params = norms._start_rows(p.n, qf, restarts, seed, ())
-    params, values, _, _ = norms._batched_ascent(
-        params, value_fn, grad_fn, max_iter, norms._ASCENT_TOL
-    )
-    best = int(np.argmax(values))
-    z = norms._points(params[best : best + 1], qf)[0][0]
-    return abs(p.evaluate(z / float(np.linalg.norm(z, ord=qf))))
+    z, values, _, _ = norms._ascend(p, params, qf, max_iter, norms._ASCENT_TOL)
+    best = z[int(np.argmax(values))]
+    return abs(p.evaluate(best / float(np.linalg.norm(best, ord=qf))))
 
 
 def estimate_and_single_phase(p, q, **kwargs):
@@ -580,7 +567,11 @@ def chaos_draw(n, seed):
 
 
 @pytest.mark.parametrize(
-    "kind, k, n", [("D", 3, 7), ("D", 3, 13), ("D", 3, 25), ("D", 4, 7), ("chaos", 3, 13)]
+    "kind, k, n",
+    [("D", 3, 7), ("D", 3, 13), ("D", 3, 25), ("D", 4, 7), ("chaos", 3, 13)]
+    # capped cells: at n = 40, 800 iterations leave the q = 2 estimate about
+    # 1e-4 short of its value at 4000, where the finish has the least room
+    + [("D", 3, 40), ("chaos", 3, 40)],
 )
 def test_q2_estimate_is_at_least_the_single_phase_ascent(kind, k, n):
     if kind == "D":
@@ -656,7 +647,7 @@ def test_q2_ascent_reaches_exact_values():
 def test_q2_estimate_exceeds_an_exact_sup_by_a_few_ulps_at_most():
     # at k = 2 the flattening is the exact sup, and the rounded witness can
     # evaluate above it: the k = 2 chain of `steiner gen --n 6 --k 2 --t 1
-    # --seed 1` and `poly rand --seed 1` gives 0.5000000000000001 against 0.5.
+    # --seed 1` and `poly rand --seed 1` gives 0.5000000000000002 against 0.5.
     # The estimate is reported as computed; its overshoot is rounding only
     chain = random_steiner_polynomial(greedy_generate(6, 2, 1, 1), 1)
     for p in (chain, pairs_poly(3), monomial_poly(2)):
@@ -676,22 +667,24 @@ def test_low_q_ascent_reaches_exact_values(q):
 
 
 @pytest.mark.parametrize("blocks", [1, 3])
-def test_sphere_pullback_is_the_gradient(blocks):
-    # central differences of |f(u / ||u||)|^2 at rows with norms far from 1,
-    # for the Fano polynomial (1 block of 7 variables) and for its lift
-    # (3 blocks of 7)
+@pytest.mark.parametrize("q", ["3/2", "2", "3", "inf"])
+def test_pullback_is_the_gradient(q, blocks):
+    # central differences of |f(_points(params))|^2 in the parameter rows, for
+    # the Fano polynomial (1 block of 7 variables) and for its lift (3 blocks of 7)
     p = random_steiner_polynomial(fano_system(), rng=np.random.default_rng(21))
     if blocks == 3:
         p = multilinear_lift(p)
     assert p.n == 7 * blocks
-    params = 1.7 * np.random.default_rng(22).normal(size=(3, 2 * p.n))
+    qf = Exponent.parse(q).as_float()
+    width = p.n if qf == math.inf else 2 * p.n
+    params = 1.7 * np.random.default_rng(22).normal(size=(3, width))
 
     def value(params):
-        return np.abs(p.evaluate_batch(norms._sphere_points(params)[0])) ** 2
+        return np.abs(p.evaluate_batch(norms._points(params, qf)[0])) ** 2
 
-    z, norm = norms._sphere_points(params)
+    z, aux = norms._points(params, qf)
     vals, grads = p.gradient_batch(z)
-    got = norms._sphere_pullback(2.0 * np.conj(vals)[:, None] * grads, z, norm)
+    got = norms._pullback(2.0 * np.conj(vals)[:, None] * grads, z, aux, qf)
     h = 1e-6
     want = np.empty_like(params)
     for j in range(params.shape[1]):
@@ -815,8 +808,7 @@ def test_live_row_ascent_equals_full_batch_loop(monkeypatch, k, n, q):
         assert got.lower == want.lower
         assert got.iterations == want.iterations
         assert got.converged_restarts == want.converged_restarts
-        # at q = 2 the sphere phase and at q = 3/2 the power phase run too,
-        # with iterations left to them
+        # at q = 2 and q = 3/2 the power phase runs too, with iterations left to it
         assert len(got_runs) == len(want_runs) == (2 if q in ("2", "3/2") else 1)
         assert got_runs[-1][2] > 0
         # every restart ends each phase where it ended in the full-batch loop
