@@ -139,7 +139,6 @@ class BoundRecord:
     bound: float
     bound_certified: float
     bound_estimate: float
-    direct_norm: float
     direct_value: float
     ref_upper_exponent: float
     ref_lower_exponent: float
@@ -175,8 +174,8 @@ def _lower_bound(
     bound every unit combination of the tuple by 1 (not a row
     contraction; see the module docstring).  C takes s = n^{-1/q}, so
     sum_j ||s T_j||^q = 1 exactly (s = 1 at q = inf), and bound_certified
-    = bound.  p(T) = c g e^* on the certified tuple, so direct_norm =
-    ||p(T)|| = |c| = |J| and direct_value == bound.  bound_estimate divides
+    = bound.  p(T) = c g e^* on the certified tuple, so ||p(T)|| = |c| = |J|
+    and direct_value == bound.  bound_estimate divides
     by the ascent's lower value instead, an upper-biased quotient.  U is
     computed once per cell; the ascent feeds only norm_lower and
     bound_estimate.
@@ -223,7 +222,6 @@ def _lower_bound(
         bound=bound,
         bound_certified=cert.weight_product * direct_norm / upper if kind == "D" else bound,
         bound_estimate=scale**k * card / est.lower if est.lower > 0 else math.inf,
-        direct_norm=direct_norm,
         direct_value=scale**k * direct_norm / upper if upper > 0 else math.inf,
         ref_upper_exponent=float(ref_upper),
         ref_lower_exponent=float(ref_lower),

@@ -12,12 +12,15 @@ phase does.  Below 2 the handover comes later, since a power step taken
 from a saddle's plateau can climb into a poorer basin.  max_iter caps the
 iterations of both phases together.
 
+Every ascent runs on p times k^{k/q} / max |c_J| (_in_sup_units), a form
+whose sup is at least 1, so its steps and stopping tests do not depend on
+the scale of p; the witness is evaluated on p itself.
+
 The symmetric multilinear form L of p is itself a k-homogeneous
 polynomial in the k n variables w = (z_1, ..., z_k) (multilinear_lift).
 A maximizer of |L| on the unit l_q ball of C^{kn} has blocks of equal
-norm k^{-1/q}, so multilinear_estimate runs the same ascent on that one
-sphere, on the lift scaled to the units of its sup (_ascended_lift), and
-scales each block of its witness to the unit sphere.
+norm k^{-1/q}, so multilinear_estimate is estimate_norm on the lift over
+that one sphere, with each block of its witness scaled to the unit sphere.
 
 Upper bounds come from certified closed forms, and certified_upper is the
 one place that picks among them:
@@ -110,7 +113,7 @@ def _batched_ascent(params, value_fn, grad_fn, max_iter, tol):
             trial_values[worse] = value_fn(trial[worse])
         accept = np.flatnonzero(~done & (trial_values >= v))
         gain = trial_values[accept] - v[accept]
-        done[accept[gain <= tol * np.maximum(v[accept], 1e-300)]] = True
+        done[accept[gain <= tol * v[accept]]] = True
         x[accept] = trial[accept]
         v[accept] = trial_values[accept]
         e[accept] = np.minimum(e[accept] * _STEP_GROW, 1e3)
@@ -167,22 +170,17 @@ def _power_step(z, f, df, qf):
     the shift of Kolda and Mayo, and maps the sum b to the point of the
     l_q sphere that is dual to it, w = conj(b) |b|^(q'-2) / ||b||_q'^(q'-1)
     with q' = q / (q - 1), so that a maximizer is a fixed point.  The shift
-    is 0 where z_j = 0.  Where the shift term overflows (a subnormal z_j, q
-    near 1), it is taken as beta k |f|^2 |z_j|^(q-1) times the conjugate
-    phase of z_j, which is finite.
+    is taken as beta k |f|^2 |z|^(q-1) times the conjugate phase of z (0
+    where z_j = 0), which is finite however small z_j is.
     """
     a = np.conj(f)[:, None] * df
     lam = np.real(np.einsum("ij,ij->i", a, z))
     mag = np.abs(z)
-    shift = np.zeros_like(mag)
+    # conj(z) / |z| part by part: a complex division overflows at a subnormal z_j
+    unit = np.where(mag > 0.0, mag, 1.0)
+    phase = z.real / unit - 1j * (z.imag / unit)
     beta = _POWER_SHIFT / (qf - 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.power(mag, qf - 2.0, out=shift, where=mag > 0.0)
-        push = (beta * lam)[:, None] * shift * np.conj(z)
-    if not np.isfinite(push).all():
-        i, j = np.nonzero(~np.isfinite(push))
-        push[i, j] = beta * lam[i] * mag[i, j] ** (qf - 1.0) * np.exp(-1j * np.angle(z[i, j]))
-    b = a + push
+    b = a + (beta * lam)[:, None] * mag ** (qf - 1.0) * phase
     # w does not change when b is scaled; at max |b_j| = 1 the powers of |b|
     # neither overflow nor all underflow when q' is large (q near 1)
     mb = np.abs(b)
@@ -286,12 +284,15 @@ def estimate_norm(
     together; iterations counts both, and converged_restarts counts the
     restarts whose last phase stopped before the cap.  Each restart derives
     its own RNG stream from (seed, restart index); extra_starts are further
-    start points.  The witness satisfies the ball constraint and reproduces
-    the reported lower value by direct evaluation.  The result is an
-    estimate only; the certified upper end is certified_upper(p, q), which
-    this function does not compute.  The value is not clamped, and rounding
-    can lift it a few ulps above an exact sup (0.5000000000000002 against
-    0.5 on a k = 2 polynomial at q = 2).
+    start points.  Both phases ascend _in_sup_units(p, q), so the estimate
+    is independent of the scale of p: the witness and the counts are the
+    same, and lower = |p(witness)| scales with p.  The witness satisfies
+    the ball constraint and reproduces the reported lower value by direct
+    evaluation.  The result is an estimate only; the certified upper end is
+    certified_upper(p, q), which this function does not compute.  The
+    value is not clamped, and rounding can lift it a few ulps above an
+    exact sup (0.5000000000000002 against 0.5 on a k = 2 polynomial at
+    q = 2).
     """
     q = Exponent.parse(q)
     if restarts < 1 and len(extra_starts) == 0:
@@ -299,13 +300,14 @@ def estimate_norm(
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     qf = q.as_float()
+    form = _in_sup_units(p, q)
     params = _start_rows(p.n, qf, restarts, seed, extra_starts)
     if not 1.0 < qf <= 2.0:
-        z, values, iterations, converged = _ascend(p, params, qf, max_iter, _ASCENT_TOL)
+        z, values, iterations, converged = _ascend(form, params, qf, max_iter, _ASCENT_TOL)
     else:
         handover = _HANDOVER_TOL if qf == 2.0 else _POWER_HANDOVER_TOL
-        z, _, iterations, _ = _ascend(p, params, qf, max_iter // 2, handover)
-        z, values, last, converged = _power_ascent(p, z, qf, max_iter - iterations)
+        z, _, iterations, _ = _ascend(form, params, qf, max_iter // 2, handover)
+        z, values, last, converged = _power_ascent(form, z, qf, max_iter - iterations)
         iterations += last
     witness = z[int(np.argmax(values))]
     if not q.is_inf:
@@ -326,10 +328,10 @@ def multilinear_estimate(
     """Ascent lower estimate for sup |L(z1, ..., zk)| over k unit-ball vectors.
 
     L is the symmetric multilinear form whose diagonal is p.  The ascent is
-    estimate_norm's on _ascended_lift(multilinear_lift(p), q) over the unit
-    l_q sphere of C^{kn}; each of the k blocks of its witness is then
-    scaled to ||v||_q = 1, which cannot lower |L|, and lower is |L| there.
-    The counts are those of the lift's ascent.  extra_starts entries are
+    estimate_norm's on multilinear_lift(p) over the unit l_q sphere of
+    C^{kn}; each of the k blocks of its witness is then scaled to
+    ||v||_q = 1, which cannot lower |L|, and lower is |L| there.  The
+    counts are those of the lift's ascent.  extra_starts entries are
     (k, n) arrays; seeding one restart from a polynomial witness z
     (repeated k times) makes the ascent start on the diagonal, at the value
     |p(z)|.  The lift has up to k! terms per monomial of p, so a step costs
@@ -339,7 +341,7 @@ def multilinear_estimate(
     lift = multilinear_lift(p)
     extra = [np.ravel(z) for z in extra_starts]
     kwargs = dict(restarts=restarts, max_iter=max_iter, seed=seed, extra_starts=extra)
-    est = estimate_norm(_ascended_lift(lift, q), q, **kwargs)
+    est = estimate_norm(lift, q, **kwargs)
     vectors = est.witness.reshape(p.k, p.n)
     if not q.is_inf:
         vectors = vectors / np.linalg.norm(vectors, ord=q.as_float(), axis=1, keepdims=True)
@@ -347,18 +349,23 @@ def multilinear_estimate(
     return NormEstimate(q, lower, vectors, est.restarts, est.iterations, est.converged_restarts)
 
 
-def _ascended_lift(lift: HomogeneousPolynomial, q: Exponent) -> HomogeneousPolynomial:
-    """The lift times k^{k/q} / c, the form that multilinear_estimate ascends.
+def _in_sup_units(p: HomogeneousPolynomial, q: Exponent) -> HomogeneousPolynomial:
+    """p times k^{k/q} / c, with c its largest |coefficient| (1 for p = 0).
 
-    c is the lift's largest |coefficient| (1 for the zero form), the sup of
-    |L| over the k unit l1 balls.  On blocks of norm k^{-1/q} the scaled
-    form is |L| at the unit blocks over c, so its sup is at least 1 at
-    every q.  The ascent steps in absolute units of |f|^2; unscaled, the
-    lift is too small near q = 1 for it to climb.
+    The sup of this form over the unit l_q ball is at least 1 when p is not
+    0.  The ball is a Reinhardt domain, so for each monomial z^a of p and
+    each z in the ball, c_a z^a is the average of p(e^{i theta} z)
+    e^{-i a theta} over the torus, and Cauchy's inequality gives
+    |c_a z^a| <= sup |p|.  Put |z_j| = k^{-1/q} on the distinct indices of
+    the monomial of a largest coefficient and 0 elsewhere: that is at most
+    k coordinates, so ||z||_q <= 1, and |z^a| = k^{-k/q}.  Hence
+    sup |p| >= c k^{-k/q}.  The ascent's steps and stopping tests then
+    read values of order 1 whatever the scale of p; at q = inf and unit
+    coefficients the factor is 1.
     """
-    top = max(map(abs, lift.coeffs.values()), default=1.0)
-    scale = lift.k ** (lift.k / q.as_float()) / top
-    return HomogeneousPolynomial(lift.n, lift.k, {j: scale * c for j, c in lift.coeffs.items()})
+    top = max(map(abs, p.coeffs.values()), default=1.0)
+    scale = p.k ** (p.k / q.as_float()) / top
+    return HomogeneousPolynomial(p.n, p.k, {j: scale * c for j, c in p.coeffs.items()})
 
 
 def multilinear_lift(p: HomogeneousPolynomial) -> HomogeneousPolynomial:

@@ -106,15 +106,14 @@ def test_lower_bound_D_record_is_internally_consistent():
     # the estimate-denominator column dominates the certified one
     assert rec.bound_estimate >= rec.bound - 1e-12
     # direct operator norm of p(T) is exactly the cardinality (rank one)
-    assert rec.direct_norm == rec.cardinality
-    assert rec.direct_value == rec.scale ** 3 * rec.direct_norm / rec.norm_upper
+    assert rec.direct_value == rec.scale ** 3 * rec.cardinality / rec.norm_upper
     # certified upper really is an upper bound for the ascent lower value
     assert rec.norm_lower <= rec.norm_upper + 1e-9
     flat = flattening_upper_bound(_pipeline_inputs(3, 9, 11)[1])
     assert rec.norm_upper <= min(flat, rec.upper_coefficient_sum) + 1e-12
     # the certified column is the reweighted tuple's ||p(W T)|| over the same
     # denominator, and W is at most the identity on every layer
-    assert 0 < rec.bound_certified <= rec.direct_norm / rec.norm_upper
+    assert 0 < rec.bound_certified <= rec.cardinality / rec.norm_upper
     assert rec.ref_upper_exponent == 2.0
     assert rec.ref_lower_exponent == 2.0
 
@@ -125,14 +124,12 @@ def test_lower_bound_D_direct_norm_is_exact():
     # at k = 3, and a k = 4 cell)
     for k, n, seed in [(3, 8, _cell_seed(20260826, 8, 0)), (4, 9, 3)]:
         rec = lower_bound_D(k, n, seed)
-        assert rec.direct_norm == rec.cardinality
         assert rec.direct_value == rec.bound
 
 
 def test_lower_bound_C_direct_norm_is_exact():
     for q in ("inf", 2):
         rec = lower_bound_C(3, q, 9, seed=2)
-        assert rec.direct_norm == rec.cardinality
         assert rec.direct_value == rec.bound
         # the C bound is certified already: its l_q constraint is exact
         assert rec.bound_certified == rec.bound
@@ -147,7 +144,7 @@ def test_bound_certified_at_k3_is_card_over_six_flattening_squared(n, seed):
     cert = certify(build_tuple(system, p))
     u = flattening_upper_bound(p)
     assert cert.weight_product == pytest.approx(1 / (6 * u), rel=1e-12)
-    assert rec.bound_certified == cert.weight_product * rec.direct_norm / rec.norm_upper
+    assert rec.bound_certified == cert.weight_product * rec.cardinality / rec.norm_upper
     assert rec.norm_upper == u  # the coefficient sum |J| is far looser here
     assert rec.bound_certified == pytest.approx(rec.cardinality / (6 * u**2), rel=1e-12)
 
@@ -298,7 +295,7 @@ def test_bound_record_roundtrip_keys():
     assert set(d) == set(BoundRecord.__dataclass_fields__)
     assert d["q"] == "inf"
     assert d["bound_certified"] == d["bound"]
-    for gone in ("row_sup", "row_value", "cond_ok", "bound_cond_adjusted"):
+    for gone in ("row_sup", "row_value", "cond_ok", "bound_cond_adjusted", "direct_norm"):
         assert gone not in d
 
 

@@ -133,7 +133,7 @@ def test_monomial_count_identity():
 
 def test_polynomial_operator_is_rank_one():
     # the dense p(T), summed monomial by monomial, is |c| g e^* for the
-    # certified coefficient c, which is why direct_norm reads |c| off p(T)e
+    # certified coefficient c, which is why direct_value reads |c| off p(T)e
     for n, k, seed in [(7, 3, 4), (9, 3, 1), (8, 4, 2)]:
         tup = make_tuple(n, k, seed)
         dense = dense_ops(tup)

@@ -183,27 +183,27 @@ def test_multilinear_finite_q_stays_on_the_unit_spheres():
 
 @pytest.mark.parametrize("q", ["2", "3/2", "3", "inf"])
 def test_multilinear_estimate_scales_the_lift_witness_to_unit_blocks(q):
-    # the ascent is estimate_norm's on the lift times k^{k/q} / c, with c its
-    # largest |coefficient|; scaling each block of its witness to the unit
-    # sphere multiplies |L| by at least k^{k/q}
+    # the ascent is estimate_norm's on the lift, which ascends the lift times
+    # k^{k/q} / c, with c its largest |coefficient|; scaling each block of
+    # its witness to the unit sphere multiplies |L| by at least k^{k/q}
     p = random_steiner_polynomial(fano_system(), rng=np.random.default_rng(23))
     kwargs = dict(restarts=4, max_iter=300, seed=12)
     mul = multilinear_estimate(p, q, **kwargs)
     q = Exponent.parse(q)
     qf = q.as_float()
     lift = multilinear_lift(p)
-    ascended = norms._ascended_lift(lift, q)
+    ascended = norms._in_sup_units(lift, q)
     scale = 3 ** (3 / qf) / max(abs(c) for c in lift.coeffs.values())
     for key, c in lift.coeffs.items():
         assert ascended.coeffs[key] == pytest.approx(scale * c, rel=1e-15)
-    est = estimate_norm(ascended, q, **kwargs)
+    est = estimate_norm(lift, q, **kwargs)
     assert (mul.restarts, mul.iterations, mul.converged_restarts) == (
         est.restarts, est.iterations, est.converged_restarts
     )
     ratio = mul.witness / est.witness.reshape(3, 7)
     assert np.allclose(ratio, np.abs(ratio[:, :1]), rtol=1e-12, atol=0)
     assert np.allclose(np.linalg.norm(mul.witness, ord=qf, axis=1), 1.0, rtol=0, atol=1e-12)
-    assert mul.lower >= 3 ** (3 / qf) * est.lower / scale * (1 - 1e-12)
+    assert mul.lower >= 3 ** (3 / qf) * est.lower * (1 - 1e-12)
     assert abs(polarize_evaluate(p, mul.witness)) == pytest.approx(mul.lower, rel=1e-10)
 
 
@@ -219,18 +219,32 @@ def test_multilinear_estimate_is_at_least_the_polynomial_estimate(k, n, q):
     assert mul.lower >= 1 / math.factorial(k) * (1 - 1e-12)
 
 
-@pytest.mark.parametrize("q", ["5/4", "2", "inf"])
-def test_multilinear_estimate_does_not_depend_on_the_scale_of_p(q):
-    # scaling p by a power of 2 scales the lift exactly and leaves the
-    # ascended form unchanged, so the witness is the same and lower scales
+@pytest.mark.parametrize("q", ["1", "5/4", "2", "3", "inf"])
+@pytest.mark.parametrize(
+    "estimator", [estimate_norm, multilinear_estimate], ids=lambda f: f.__name__
+)
+def test_estimate_does_not_depend_on_the_scale_of_p(estimator, q):
+    # scaling p by a power of 2 scales its largest coefficient exactly and
+    # leaves the ascended form unchanged, so the witness and the counts are
+    # the same and lower scales
     p = random_steiner_polynomial(fano_system(), rng=np.random.default_rng(24))
-    small = HomogeneousPolynomial(p.n, p.k, {key: c * 2.0**-30 for key, c in p.coeffs.items()})
     kwargs = dict(restarts=4, max_iter=300, seed=13)
-    mul = multilinear_estimate(p, q, **kwargs)
-    got = multilinear_estimate(small, q, **kwargs)
-    assert np.array_equal(got.witness, mul.witness)
-    assert got.lower == mul.lower * 2.0**-30
-    assert got.iterations == mul.iterations
+    est = estimator(p, q, **kwargs)
+    for e in (-30, 30):
+        scaled = HomogeneousPolynomial(p.n, p.k, {key: c * 2.0**e for key, c in p.coeffs.items()})
+        got = estimator(scaled, q, **kwargs)
+        assert np.array_equal(got.witness, est.witness)
+        assert got.lower == est.lower * 2.0**e
+        assert got.iterations == est.iterations
+
+
+@pytest.mark.parametrize("q", ["1", "101/100"])
+def test_estimate_near_q_1_reaches_a_block_on_many_variables(q):
+    # one block's monomial attains 1/27 at k = 3, q = 1, and |p| is far
+    # smaller at most points of the sphere of C^40, where the ascent starts
+    p = bounds._pipeline_inputs(3, 40, seed=1)[1]
+    est = estimate_norm(p, q, restarts=16, max_iter=800, seed=1)  # a pipeline cell's ascent
+    assert est.lower >= (1 - 1e-3) / 27
 
 
 def test_multilinear_zero_polynomial():
@@ -537,11 +551,13 @@ def test_row_norm_certificate_theory():
 
 def single_phase_ascent(p, q, *, restarts, max_iter, seed):
     """estimate_norm without its second phase: softplus-phase rows from
-    _start_rows, run to _ASCENT_TOL.  Returns |p| at the best row, found and
-    normalized as estimate_norm does."""
-    qf = Exponent.parse(q).as_float()
+    _start_rows on the form that estimate_norm ascends, run to _ASCENT_TOL.
+    Returns |p| at the best row, found and normalized as estimate_norm does."""
+    q = Exponent.parse(q)
+    qf = q.as_float()
     params = norms._start_rows(p.n, qf, restarts, seed, ())
-    z, values, _, _ = norms._ascend(p, params, qf, max_iter, norms._ASCENT_TOL)
+    form = norms._in_sup_units(p, q)
+    z, values, _, _ = norms._ascend(form, params, qf, max_iter, norms._ASCENT_TOL)
     best = z[int(np.argmax(values))]
     return abs(p.evaluate(best / float(np.linalg.norm(best, ord=qf))))
 
@@ -552,12 +568,11 @@ def estimate_and_single_phase(p, q, **kwargs):
     return estimate_norm(p, q, **kwargs).lower, single_phase_ascent(p, q, **kwargs)
 
 
-# the form each estimator ascends: p itself, and for multilinear_estimate its
-# scaled lift, so the multilinear cases compare values before the per-block rescale
+# the polynomial each estimator hands to estimate_norm: p itself, and for
+# multilinear_estimate its lift, so the multilinear cases compare values
+# before the per-block rescale
 ASCENDED_FORMS = pytest.mark.parametrize(
-    "ascended",
-    [lambda p, q: p, lambda p, q: norms._ascended_lift(multilinear_lift(p), Exponent.parse(q))],
-    ids=["estimate_norm", "multilinear_estimate"],
+    "ascended", [lambda p: p, multilinear_lift], ids=["estimate_norm", "multilinear_estimate"]
 )
 
 
@@ -602,7 +617,7 @@ def test_low_q_estimate_is_at_least_the_single_phase_ascent(ascended, kind, k, n
     p = bounds._pipeline_inputs(k, n, seed=1)[1]
     if kind == "phased":
         p = phased(p, seed=n)
-    form = ascended(p, q)
+    form = ascended(p)
     # a pipeline cell's ascent; half its restarts for the costlier multilinear form
     kwargs = dict(restarts=16 if form is p else 8, max_iter=800, seed=1)
     got, single = estimate_and_single_phase(form, q, **kwargs)
@@ -627,7 +642,7 @@ def test_low_q_power_phase_stays_finite_near_q_1(ascended):
     kwargs = dict(restarts=8, max_iter=400, seed=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got, single = estimate_and_single_phase(ascended(p, "101/100"), "101/100", **kwargs)
+        got, single = estimate_and_single_phase(ascended(p), "101/100", **kwargs)
         mul = multilinear_estimate(p, "101/100", **kwargs)
     assert got >= single
     assert mul.lower >= 1 / 6 * (1 - 1e-12)
@@ -727,8 +742,7 @@ def full_batch_ascent(params, value_fn, grad_fn, max_iter, tol):
         accept = ~converged & (trial_values >= values)
         if accept.any():
             gain = trial_values[accept] - values[accept]
-            base = np.maximum(values[accept], 1e-300)
-            done = gain <= tol * base
+            done = gain <= tol * values[accept]
             params[accept] = trial[accept]
             values[accept] = trial_values[accept]
             eta[accept] = np.minimum(eta[accept] * norms._STEP_GROW, 1e3)
