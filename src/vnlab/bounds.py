@@ -236,7 +236,7 @@ def lower_bound_D(
     bound = (1 + U)^{-k/2} |J| / U; bound_certified is |J| / (6 U^2) at
     k = 3 and |J| / (2 U) at k = 4.
     """
-    return _lower_bound("D", k, Exponent.finite(2), n, seed, norm_restarts, norm_max_iter)
+    return _lower_bound("D", k, Exponent.parse(2), n, seed, norm_restarts, norm_max_iter)
 
 
 def lower_bound_C(

@@ -46,7 +46,6 @@ from .util import Exponent, stream
 
 _STEP_GROW = 1.3
 _STEP_SHRINK = 0.5
-_STEP_FLOOR = 1e-18
 _BACKTRACK_LIMIT = 60
 # a restart has converged once an accepted step gains at most this relative amount
 _ASCENT_TOL = 1e-10
@@ -74,56 +73,6 @@ class NormEstimate:
     restarts: int
     iterations: int
     converged_restarts: int
-
-
-def _batched_ascent(params, value_fn, grad_fn, max_iter, tol):
-    """Maximize value_fn over rows of params by backtracking gradient ascent.
-
-    Returns (params, values, iterations, converged mask).  value_fn maps an
-    (R, P) array to (R,); grad_fn additionally returns the (R, P) gradient,
-    and its values must equal value_fn's bit for bit.  Each iteration steps,
-    backtracks and differentiates only the live rows, the restarts that
-    have not converged; a converged row keeps its final params and value.
-    Both functions must treat every row on its own (see vnlab.kernels), so
-    the result equals that of stepping every row in every iteration.
-    """
-    params = np.array(params, dtype=np.float64)
-    values, grads = grad_fn(params)
-    eta = np.full(params.shape[0], 0.25)
-    live = np.arange(params.shape[0])
-    iterations = 0
-    while live.size and iterations < max_iter:
-        iterations += 1
-        # grads holds the live rows only; x, v and e are copies of theirs
-        x, v, e = params[live], values[live], eta[live]
-        done = np.zeros(live.size, dtype=bool)
-        trial = x + e[:, None] * grads
-        trial_values = value_fn(trial)
-        for _ in range(_BACKTRACK_LIMIT):
-            worse = ~done & (trial_values < v)
-            if not worse.any():
-                break
-            e[worse] *= _STEP_SHRINK
-            stuck = worse & (e < _STEP_FLOOR)
-            done |= stuck
-            worse &= ~stuck
-            if not worse.any():
-                break
-            trial[worse] = x[worse] + e[worse, None] * grads[worse]
-            trial_values[worse] = value_fn(trial[worse])
-        accept = np.flatnonzero(~done & (trial_values >= v))
-        gain = trial_values[accept] - v[accept]
-        done[accept[gain <= tol * v[accept]]] = True
-        x[accept] = trial[accept]
-        v[accept] = trial_values[accept]
-        e[accept] = np.minimum(e[accept] * _STEP_GROW, 1e3)
-        params[live], values[live], eta[live] = x, v, e
-        live = live[~done]
-        if live.size:
-            values[live], grads = grad_fn(params[live])
-    converged = np.ones(params.shape[0], dtype=bool)
-    converged[live] = False
-    return params, values, iterations, converged
 
 
 def _points(params, qf):
@@ -220,27 +169,60 @@ def _power_ascent(p, z, qf, max_iter):
 
 
 def _ascend(p, params, qf, max_iter, tol):
-    """_batched_ascent of |p|^2 in the parameter rows of _points.
+    """Backtracking gradient ascent of |p|^2 in the parameter rows of _points.
 
-    Returns (points, values |p|^2, iterations, converged mask).
+    Returns (points, values |p|^2, iterations, converged mask).  A row's
+    step halves at most _BACKTRACK_LIMIT times while it lowers |p|^2.  The
+    row then takes the step unless it still loses, and has converged if it
+    loses or gains at most tol relative.  Each iteration steps, backtracks
+    and differentiates only the live rows, the restarts that have not
+    converged; a converged row keeps its final params and value.  Every
+    operation, the kernels' too (see vnlab.kernels), treats each row on its
+    own, so the result equals that of stepping every row in every iteration.
     """
 
-    def value_fn(params):
+    def value(params):
         return np.abs(p.evaluate_batch(_points(params, qf)[0])) ** 2
 
-    def grad_fn(params):
+    def value_and_grad(params):
         z, aux = _points(params, qf)
         vals, grads = p.gradient_batch(z)
         return np.abs(vals) ** 2, _pullback(2.0 * np.conj(vals)[:, None] * grads, z, aux, qf)
 
-    params, values, iterations, converged = _batched_ascent(
-        params, value_fn, grad_fn, max_iter, tol
-    )
+    params = np.array(params, dtype=np.float64)
+    values, grads = value_and_grad(params)
+    eta = np.full(params.shape[0], 0.25)
+    live = np.arange(params.shape[0])
+    iterations = 0
+    while live.size and iterations < max_iter:
+        iterations += 1
+        # grads holds the live rows only; x, v and e are copies of theirs
+        x, v, e = params[live], values[live], eta[live]
+        trial = x + e[:, None] * grads
+        trial_values = value(trial)
+        for _ in range(_BACKTRACK_LIMIT):
+            worse = trial_values < v
+            if not worse.any():
+                break
+            e[worse] *= _STEP_SHRINK
+            trial[worse] = x[worse] + e[worse, None] * grads[worse]
+            trial_values[worse] = value(trial[worse])
+        # a step that still loses has a negative gain, so it stops the row too
+        done = trial_values - v <= tol * v
+        up = trial_values >= v
+        x[up], v[up] = trial[up], trial_values[up]
+        e[up] = np.minimum(e[up] * _STEP_GROW, 1e3)
+        params[live], values[live], eta[live] = x, v, e
+        live = live[~done]
+        if live.size:
+            values[live], grads = value_and_grad(params[live])
+    converged = np.ones(params.shape[0], dtype=bool)
+    converged[live] = False
     return _points(params, qf)[0], values, iterations, converged
 
 
 def _start_rows(n, qf, restarts, seed, extra):
-    """Random parameter rows plus rows encoding caller-supplied start points."""
+    """Random parameter rows plus rows encoding the directions of extra start points."""
     rows = []
     for r in range(restarts):
         rng = stream(seed, "norm-ascent", r)
@@ -256,8 +238,9 @@ def _start_rows(n, qf, restarts, seed, extra):
         if qf == math.inf:
             rows.append(theta)
         else:
-            mag = np.maximum(np.abs(z), 1e-9)
-            rows.append(np.concatenate([np.log(np.expm1(mag) + 1e-300), theta]))
+            mag = np.abs(z)
+            mag = np.maximum(mag / (mag.max() or 1.0), 1e-9)
+            rows.append(np.concatenate([np.log(np.expm1(mag)), theta]))
     return np.array(rows, dtype=np.float64)
 
 

@@ -27,9 +27,6 @@ RADEMACHER_PSI2 = 1.0 / math.sqrt(math.log(2.0))
 # absolute slack for d(z, z') <= ||z - z'||_inf in lipschitz_check
 LIPSCHITZ_TOL = 1e-12
 
-# relative width at which psi2_norm_mc stops bisecting
-PSI2_REL_TOL = 1e-3
-
 # two-sided sub-Gaussian corridor for an empirical psi_2 / L2 ratio, and the
 # largest z-score of a Monte Carlo L2 increment against its closed form
 PSI2_CORRIDOR = (0.4, 4.0)
@@ -125,36 +122,38 @@ def _orlicz_gauge(abs_sq: np.ndarray, c: float) -> float:
 
 
 def _psi2_from_abs_sq(abs_sq: np.ndarray) -> float:
-    l2 = math.sqrt(abs_sq.mean())
-    if l2 == 0.0:
+    """The c > 0 with mean(exp(abs_sq / c^2)) = 2, or 0 when abs_sq is 0.
+
+    With u = 1/c^2 it is the root of h(u) = log mean exp(u abs_sq) - log 2.
+    h is convex and increasing, and at u = log 2 / mean(abs_sq) Jensen's
+    inequality gives h >= 0, so Newton's steps from there fall monotonically
+    to the root; they stop once a step no longer lowers u.  h is evaluated
+    with the largest exponent taken out (log-sum-exp).
+    """
+    mean = abs_sq.mean()
+    if mean == 0.0:
         return 0.0
-    hi = 10.0 * l2
-    for _ in range(200):
-        if _orlicz_gauge(abs_sq, hi) <= 1.0:
+    u = math.log(2.0) / mean
+    for _ in range(100):
+        t = u * abs_sq
+        top = t.max()
+        w = np.exp(t - top)
+        total = w.sum()
+        h = top + math.log(total / abs_sq.size) - math.log(2.0)
+        lower = u - h * total / (w @ abs_sq)
+        if not lower < u:
             break
-        hi *= 2.0
-    lo = hi / 2.0
-    while _orlicz_gauge(abs_sq, lo) <= 1.0 and lo > 1e-12 * l2:
-        lo *= 0.5
-    for _ in range(200):
-        if hi - lo <= PSI2_REL_TOL * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if _orlicz_gauge(abs_sq, mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        u = lower
+    return 1.0 / math.sqrt(u)
 
 
 def psi2_norm_mc(sampler, samples: int, seed: int) -> OrliczEstimate:
     """Empirical psi_2 norm: smallest c with mean(exp(|Z|^2/c^2) - 1) <= 1.
 
-    sampler(rng, size) must return a real or complex sample array.  The
-    gauge is monotone in c, so bisection from a bracketed interval converges
-    to the relative tolerance PSI2_REL_TOL.  The estimate is flagged
-    unstable when the empirical gauge at it differs grossly between the two
-    halves of the sample (heavy tails making the exponential mean
+    sampler(rng, size) must return a real or complex sample array; the
+    gauge equation is solved to round-off (_psi2_from_abs_sq).  The estimate is
+    flagged unstable when the empirical gauge at it differs grossly between
+    the two halves of the sample (heavy tails making the exponential mean
     unreliable).
     """
     rng = stream(seed, "orlicz-sampler")

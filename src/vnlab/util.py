@@ -46,27 +46,19 @@ class Exponent:
                 raise ValueError(f"exponent must satisfy q >= 1, got {self._value}")
 
     @classmethod
-    def finite(cls, value) -> "Exponent":
-        return cls(Fraction(value))
-
-    @classmethod
-    def infinity(cls) -> "Exponent":
-        return cls(None)
-
-    @classmethod
     def parse(cls, text) -> "Exponent":
         if isinstance(text, Exponent):
             return text
         if isinstance(text, (int, Fraction)):
-            return cls.finite(text)
+            return cls(Fraction(text))
         if isinstance(text, float):
             if math.isinf(text):
-                return cls.infinity()
-            return cls.finite(Fraction(text).limit_denominator(10**9))
+                return cls(None)
+            return cls(Fraction(text).limit_denominator(10**9))
         s = str(text).strip().lower()
         if s in ("inf", "infinity", "oo"):
-            return cls.infinity()
-        return cls.finite(Fraction(s))
+            return cls(None)
+        return cls(Fraction(s))
 
     @property
     def is_inf(self) -> bool:

@@ -140,6 +140,21 @@ def test_extra_start_can_only_help():
     assert seeded.lower >= base.lower - 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("q", ["2", "3/2", "3", "101/100"])
+def test_extra_start_scale_does_not_matter(q):
+    p = bounds._pipeline_inputs(3, 13, 1)[1]
+    w = estimate_norm(p, 2, restarts=3, seed=7).witness
+    unit = estimate_norm(p, q, restarts=0, extra_starts=[w]).lower
+    for scale in (1e4, 1e300, 1e-300):
+        est = estimate_norm(p, q, restarts=0, extra_starts=[scale * w])
+        assert est.lower == pytest.approx(unit, rel=1e-14)
+    diagonal = np.tile(w, (3, 1))
+    unit = multilinear_estimate(p, q, restarts=0, extra_starts=[diagonal]).lower
+    est = multilinear_estimate(p, q, restarts=0, extra_starts=[1e6 * diagonal])
+    assert est.lower == pytest.approx(unit, rel=1e-14)
+
+
 # ----------------------------------------------------------- multilinear layer
 
 
@@ -712,47 +727,42 @@ def test_pullback_is_the_gradient(q, blocks):
 # ---------------------------------------------------------- live-row ascent
 
 
-def full_batch_ascent(params, value_fn, grad_fn, max_iter, tol):
-    """The ascent loop as it was before it dropped converged rows: every
-    row is stepped, evaluated and differentiated in every iteration."""
+def full_batch_ascent(p, params, qf, max_iter, tol):
+    """The softplus-phase loop with every row stepped, evaluated and
+    differentiated in every iteration; a converged row discards its step."""
+
+    def value(params):
+        return np.abs(p.evaluate_batch(norms._points(params, qf)[0])) ** 2
+
+    def value_and_grad(params):
+        z, aux = norms._points(params, qf)
+        vals, grads = p.gradient_batch(z)
+        g = 2.0 * np.conj(vals)[:, None] * grads
+        return np.abs(vals) ** 2, norms._pullback(g, z, aux, qf)
+
     params = np.array(params, dtype=np.float64)
-    nrows = params.shape[0]
-    values, grads = grad_fn(params)
-    eta = np.full(nrows, 0.25)
-    converged = np.zeros(nrows, dtype=bool)
+    values, grads = value_and_grad(params)
+    eta = np.full(params.shape[0], 0.25)
+    converged = np.zeros(params.shape[0], dtype=bool)
     iterations = 0
-    for _ in range(max_iter):
-        if converged.all():
-            break
+    while not converged.all() and iterations < max_iter:
         iterations += 1
         trial = params + eta[:, None] * grads
-        trial_values = value_fn(trial)
+        trial_values = value(trial)
         for _ in range(norms._BACKTRACK_LIMIT):
             worse = ~converged & (trial_values < values)
             if not worse.any():
                 break
             eta[worse] *= norms._STEP_SHRINK
-            stuck = worse & (eta < norms._STEP_FLOOR)
-            converged |= stuck
-            worse &= ~stuck
-            if not worse.any():
-                break
             trial[worse] = params[worse] + eta[worse, None] * grads[worse]
-            trial_values[worse] = value_fn(trial[worse])
-        accept = ~converged & (trial_values >= values)
-        if accept.any():
-            gain = trial_values[accept] - values[accept]
-            done = gain <= tol * values[accept]
-            params[accept] = trial[accept]
-            values[accept] = trial_values[accept]
-            eta[accept] = np.minimum(eta[accept] * norms._STEP_GROW, 1e3)
-            idx = np.flatnonzero(accept)
-            converged[idx[done]] = True
-        if converged.all():
-            break
-        values_new, grads = grad_fn(params)
-        values = values_new
-    return params, values, iterations, converged
+            trial_values[worse] = value(trial[worse])
+        up = ~converged & (trial_values >= values)
+        converged |= trial_values - values <= tol * values
+        params[up], values[up] = trial[up], trial_values[up]
+        eta[up] = np.minimum(eta[up] * norms._STEP_GROW, 1e3)
+        if not converged.all():
+            values, grads = value_and_grad(params)
+    return norms._points(params, qf)[0], values, iterations, converged
 
 
 def full_batch_power_ascent(p, z, qf, max_iter):
@@ -773,7 +783,7 @@ def full_batch_power_ascent(p, z, qf, max_iter):
     return z, values, iterations, converged
 
 
-LIVE_ROW_LOOPS = (norms._batched_ascent, norms._power_ascent)
+LIVE_ROW_LOOPS = (norms._ascend, norms._power_ascent)
 FULL_BATCH_LOOPS = (full_batch_ascent, full_batch_power_ascent)
 
 
@@ -798,7 +808,7 @@ def run_with_loop(monkeypatch, loops, estimator, *args, **kwargs):
 
     with monkeypatch.context() as m:
         m.setattr(kernels, "poly_eval_grad_batch", counted)
-        m.setattr(norms, "_batched_ascent", recorded(loops[0]))
+        m.setattr(norms, "_ascend", recorded(loops[0]))
         m.setattr(norms, "_power_ascent", recorded(loops[1]))
         result = estimator(*args, **kwargs)
     return result, runs, rows[0]
@@ -834,3 +844,28 @@ def test_live_row_ascent_equals_full_batch_loop(monkeypatch, k, n, q):
             assert got_rows < want_rows
         else:
             assert got_rows == want_rows
+
+
+class LosingEveryStep:
+    """A stand-in form whose gradient kernel reads value 1 and gradient 1
+    and whose evaluation kernel reads 1/2: |p|^2 falls from 1 to 1/4 at
+    every trial point, so each step loses at every halving."""
+
+    def gradient_batch(self, z):
+        return np.ones(z.shape[0], dtype=complex), np.ones(z.shape, dtype=complex)
+
+    def evaluate_batch(self, z):
+        return np.full(z.shape[0], 0.5, dtype=complex)
+
+
+@pytest.mark.parametrize("q", ["inf", "3/2", "2"])
+def test_a_step_that_loses_at_every_halving_stops_the_restart(q):
+    qf = Exponent.parse(q).as_float()
+    params = norms._start_rows(5, qf, 4, 3, ())
+    z, values, iterations, converged = norms._ascend(
+        LosingEveryStep(), params, qf, 50, norms._ASCENT_TOL
+    )
+    assert iterations == 1
+    assert converged.all()
+    assert np.array_equal(z, norms._points(params, qf)[0])
+    assert np.array_equal(values, np.ones(4))

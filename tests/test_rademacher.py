@@ -96,13 +96,13 @@ def test_sample_sup_reproducible():
 
 def test_psi2_single_rademacher_exact():
     # |Z| = 1 a.s.: gauge(c) = exp(1/c^2) - 1 <= 1 iff c >= 1/sqrt(ln 2),
-    # so the bisection target is known in closed form
+    # so the norm is known in closed form
     est = psi2_norm_mc(
         lambda rng, size: rng.integers(0, 2, size=size) * 2.0 - 1.0,
         samples=20000,
         seed=3,
     )
-    assert est.value == pytest.approx(RADEMACHER_PSI2, rel=5e-3)
+    assert est.value == pytest.approx(RADEMACHER_PSI2, rel=1e-12)
     assert not est.unstable
 
 
