@@ -148,16 +148,15 @@ class BoundRecord:
 
 
 def _pipeline_inputs(k: int, n: int, seed: int):
-    """Shared construction: pair-unique greedy system plus random signs.
+    """Shared construction: a pair-unique greedy system S_p(2, k, n) and random signs.
 
-    Pair uniqueness (t = 2 generation) coincides with t = k - 1 at k = 3 and
-    is strictly stronger for k >= 4, where it is what makes the shift into
+    Pair uniqueness coincides with t = k - 1 at k = 3 and is strictly
+    stronger for k >= 4, where build_tuple needs it to make the shift into
     the f-layer a partial isometry.
     """
     if k < 3 or n < k:
         raise ValueError(f"need n >= k >= 3, got n={n} k={k}")
-    raw = greedy_generate(n, k, 2, stream(seed, "pipeline-system", k, n))
-    system = raw.with_uniqueness(k - 1)
+    system = greedy_generate(n, k, 2, stream(seed, "pipeline-system", k, n))
     p = random_steiner_polynomial(system, stream(seed, "pipeline-signs", k, n))
     return system, p
 
@@ -184,7 +183,7 @@ def _lower_bound(
     card = system.cardinality
     upper, _method = certified_upper(p, q)
     est = estimate_norm(p, q, restarts=restarts, max_iter=max_iter, seed=seed)
-    cert = certify(build_tuple(system, p))
+    cert = certify(build_tuple(p))
     if not cert.ok:
         raise CertificationError(
             f"certificate failed: graded {cert.graded}, commutator entry {cert.commutator}, "

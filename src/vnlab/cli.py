@@ -26,7 +26,6 @@ from pathlib import Path
 from . import bounds, dixon, norms, rademacher, steiner
 from .polynomials import HomogeneousPolynomial, random_steiner_polynomial
 from .report import ExperimentReport, content_hash
-from .steiner import PartialSteinerSystem
 from .util import stream
 
 EXIT_OK = 0
@@ -169,9 +168,8 @@ def _handle_dixon_verify(cfg):
     _require(cfg, "poly")
     text = _read_text(cfg["poly"])
     p = HomogeneousPolynomial.from_json(text)
-    system = PartialSteinerSystem(p.n, p.k, p.k - 1, tuple(p.coeffs.keys()))
     try:
-        tup = dixon.build_tuple(system, p)
+        tup = dixon.build_tuple(p)
     except ValueError as exc:
         record = {"built": False, "certified": False, "error": str(exc)}
         return _report(cfg, [record], text), None, True

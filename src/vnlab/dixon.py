@@ -1,13 +1,13 @@
 """Dixon tuples: commuting contractions built from a signed block family.
 
-Given a partial Steiner system with uniqueness level t = k - 1 and a sign
-c_J = +-1 per block, the construction produces n commuting operators
-T_1, ..., T_n on the layered space e -> t_1 -> ... -> t_{k-2} -> f -> g,
-each mapping every layer into the next, such that the support polynomial
-p applied to the tuple is p(T) = |J| g e^*, where |J| is the number of
-blocks.  Every T_l is a signed partial permutation (at most one entry +-1
-in each row and each column), stored as a partial map: T_l sends basis
-vector c to value[l, c] times basis vector target[l, c].  The certificates
+Given a polynomial p = sum_J c_J z_J with signs c_J = +-1 on squarefree
+blocks J, no two of which share a pair of points, the construction
+produces n commuting operators T_1, ..., T_n on the layered space
+e -> t_1 -> ... -> t_{k-2} -> f -> g, each mapping every layer into the
+next, such that p(T) = |J| g e^*, where |J| is the number of blocks.
+Every T_l is a signed partial permutation (at most one entry +-1 in each
+row and each column), stored as a partial map: T_l sends basis vector c
+to value[l, c] times basis vector target[l, c].  The certificates
 read the maps: integer commutators by index gathers, and from the entries
 the grading, ||T_l||, p(T) e (so ||p(T)|| is its g-coefficient), and one
 weight per layer that bounds every unit combination of the reweighted
@@ -68,7 +68,6 @@ def build_basis(n: int, k: int) -> DixonBasis:
 
 @dataclass(frozen=True)
 class DixonTuple:
-    system: PartialSteinerSystem
     polynomial: HomogeneousPolynomial
     basis: DixonBasis
     # (n, dim + 1) maps: T_{l+1} e_c = value[l, c] e_{target[l, c]}.  Index dim is
@@ -78,51 +77,36 @@ class DixonTuple:
 
     @property
     def n(self) -> int:
-        return self.system.n
+        return self.polynomial.n
 
     @property
     def k(self) -> int:
-        return self.system.k
+        return self.polynomial.k
 
 
-def build_tuple(system: PartialSteinerSystem, p: HomogeneousPolynomial) -> DixonTuple:
-    """Assemble the n operators for a signed block family, layer by layer.
+def build_tuple(p: HomogeneousPolynomial) -> DixonTuple:
+    """Assemble the n operators for the signed block family of p, layer by layer.
 
+    The monomials of p are the blocks and its coefficients their signs.
     T_l shifts each layer into the next: e -> t(l); t(v) -> t(v + l) between
     the multiset layers, the same for every p; t(B - {x, l}) -> c_B f_x for
     each block B containing l and each other point x of B; and f_l -> g.
 
-    Requires a valid system with t = k - 1 whose blocks carry real signs +-1
-    (exactly the support of p), and additionally pairwise-unique blocks: for
-    k >= 4 a pair of points shared by two blocks would give the shift into
+    Requires n >= k >= 3, coefficients +-1, and squarefree monomials of
+    which no two share a pair of points (a valid S_p(2, k, n), hence an
+    S_p(k - 1, k, n)).  For k >= 4 a shared pair would give the shift into
     the f-layer a Gram matrix with an entry 2, so the operators would have
     norm sqrt(2) instead of 1.  At k = 3 pair uniqueness is t-uniqueness.
     """
-    n, k = system.n, system.k
-    if k < 3:
-        raise ValueError(f"construction requires k >= 3, got k={k}")
-    if system.t != k - 1:
-        raise ValueError(f"system must have uniqueness level t = k - 1, got t={system.t}")
-    result = validate(system)
-    if not result.valid:
-        raise ValueError(f"system fails validation: {result}")
-    if system.max_pair_multiplicity() > 1:
-        raise ValueError(
-            "blocks share a pair of points; operators would not be contractions"
-        )
-    if p.n != n or p.k != k:
-        raise ValueError(f"polynomial shape ({p.n}, {p.k}) does not match system ({n}, {k})")
-    support = set(p.coeffs.keys())
-    blocks = set(system.blocks)
-    if support != blocks:
-        missing = blocks - support
-        extra = support - blocks
-        raise ValueError(f"sign map mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
+    n, k = p.n, p.k
+    basis = build_basis(n, k)
     for key, c in p.coeffs.items():
         if c.imag != 0.0 or c.real not in (1.0, -1.0):
             raise ValueError(f"coefficient at {key} must be +1 or -1, got {c}")
+    result = validate(PartialSteinerSystem(n, k, 2, p.support()))
+    if not result.valid:
+        raise ValueError(f"monomials are not squarefree and pair-unique: {result}")
 
-    basis = build_basis(n, k)
     index = basis.index
     dim = basis.dimension
 
@@ -134,16 +118,15 @@ def build_tuple(system: PartialSteinerSystem, p: HomogeneousPolynomial) -> Dixon
     for m in range(1, k - 2):
         for v in itertools.combinations_with_replacement(range(1, n + 1), m):
             entries.extend((l, t(v + (l,)), index[("t", v)], 1.0) for l in range(1, n + 1))
-    for block in system.blocks:
-        c = p.coeffs[block].real
+    for block, c in p.coeffs.items():
         for x, l in itertools.permutations(block, 2):
-            entries.append((l, index[("f", x)], t(set(block) - {x, l}), c))
+            entries.append((l, index[("f", x)], t(set(block) - {x, l}), c.real))
     entries.extend((l, index[("g",)], index[("f", l)], 1.0) for l in range(1, n + 1))
     op, row, col, val = (np.array(a) for a in zip(*entries))
     target = np.full((n, dim + 1), dim)
     value = np.zeros((n, dim + 1), dtype=np.complex128)
     target[op - 1, col], value[op - 1, col] = row, val
-    return DixonTuple(system, p, basis, target, value)
+    return DixonTuple(p, basis, target, value)
 
 
 def check_commuting(tup: DixonTuple) -> float:
@@ -287,7 +270,7 @@ def certify(tup: DixonTuple) -> Certificate:
         and comm <= COMMUTATOR_TOL
         and dev <= OPNORM_TOL
         and residual <= ACTION_TOL
-        and abs(coeff - tup.system.cardinality) <= ACTION_TOL
+        and abs(coeff - tup.polynomial.term_count) <= ACTION_TOL
     )
     weights = _layer_weights(tup, entries)
     return Certificate(comm, norms, dev, coeff, residual, graded, permutation, weights, ok)
@@ -299,7 +282,7 @@ def verify_report(tup: DixonTuple) -> dict:
     return {
         "built": True,
         "dimension": tup.basis.dimension,
-        "cardinality": tup.system.cardinality,
+        "cardinality": tup.polynomial.term_count,
         "max_commutator": cert.commutator,
         "opnorm_max_dev": cert.opnorm_max_dev,
         "pTe_re": cert.pte_coefficient.real,

@@ -34,8 +34,6 @@ def poly_eval_batch(coef: np.ndarray, idx: np.ndarray, points: np.ndarray) -> np
     Returns (B,) complex128.
     """
     points = np.ascontiguousarray(points, dtype=np.complex128)
-    if coef.shape[0] == 0:
-        return np.zeros(points.shape[0], dtype=np.complex128)
     return _term_sum(_product(*_factors(points, idx)), coef)
 
 
@@ -76,8 +74,6 @@ def poly_eval_grad_batch(coef: np.ndarray, idx: np.ndarray, points: np.ndarray):
     points = np.ascontiguousarray(points, dtype=np.complex128)
     nb, n = points.shape
     m, k = idx.shape
-    if m == 0:
-        return np.zeros(nb, dtype=np.complex128), np.zeros((nb, n), dtype=np.complex128)
     factors = _factors(points, idx)
     # prefix[u] = f_0 ... f_{u-1} and suffix[u] = f_{k-1} ... f_{u+1}, each
     # multiplied left to right

@@ -80,17 +80,20 @@ def _points(params, qf):
 
     At qf = inf a row holds one phase per coordinate, z = exp(i theta).
     At finite qf it holds softplus weights w and then phases theta, with
-    magnitudes s / ||s||_q for s = softplus(w).  Returns the points and
-    what _pullback needs (None at qf = inf).
+    magnitudes s / ||s||_q for s = softplus(w).  The powers are taken of
+    r = s / max s, which neither overflow at large qf nor all underflow.
+    Returns the points and what _pullback needs (None at qf = inf).
     """
     if qf == math.inf:
         return np.exp(1j * params), None
     n = params.shape[1] // 2
     w, theta = params[:, :n], params[:, n:]
     s = np.logaddexp(0.0, w)
-    nu = (s**qf).sum(axis=1) ** (1.0 / qf)
+    top = s.max(axis=1)
+    r = s / top[:, None]
+    nu = (r**qf).sum(axis=1) ** (1.0 / qf)
     phase = np.exp(1j * theta)
-    return s / nu[:, None] * phase, (phase, s, nu)
+    return r / nu[:, None] * phase, (phase, s, r, top, nu)
 
 
 def _pullback(g, z, aux, qf):
@@ -98,14 +101,15 @@ def _pullback(g, z, aux, qf):
     if qf == math.inf:
         # d|f|^2/dtheta_j for z_j = exp(i theta_j)
         return -np.imag(g * z)
-    phase, s, nu = aux
-    # chain rule through magnitudes m = s / ||s||_q with s = softplus(w), s' = 1 - e^{-s}
+    phase, s, r, top, nu = aux
+    # chain rule through magnitudes m = r / ||r||_q with r = s / max s and
+    # s = softplus(w), s' = 1 - e^{-s}: dm/ds is that of r / ||r||_q over max s
     radial = np.real(g * phase)
-    proj = (radial * s).sum(axis=1)
-    dw = -np.expm1(-s) * (
-        radial / nu[:, None] - s ** (qf - 1.0) * (proj / nu ** (qf + 1.0))[:, None]
+    proj = (radial * r).sum(axis=1)
+    dw = (-np.expm1(-s) / top[:, None]) * (
+        radial / nu[:, None] - r ** (qf - 1.0) * (proj / nu ** (qf + 1.0))[:, None]
     )
-    dtheta = -np.imag(g * s / nu[:, None] * phase)
+    dtheta = -np.imag(g * r / nu[:, None] * phase)
     return np.concatenate([dw, dtheta], axis=1)
 
 

@@ -113,11 +113,13 @@ class HomogeneousPolynomial:
 def random_steiner_polynomial(system: PartialSteinerSystem, rng) -> HomogeneousPolynomial:
     """Random-sign polynomial sum_J eps_J z_J on the blocks of an S_p(k-1, k, n).
 
-    Signs are independent uniform {-1, +1}, drawn in canonical block order
-    so the result is reproducible given the generator (or integer seed).
+    A valid system with t <= k - 1 is one, since a t-unique family is
+    t'-unique for every t' >= t.  Signs are independent uniform {-1, +1},
+    drawn in canonical block order so the result is reproducible given the
+    generator (or integer seed); they do not depend on t.
     """
-    if system.t != system.k - 1:
-        raise ValueError(f"support must have uniqueness level t = k - 1, got t={system.t}")
+    if system.t > system.k - 1:
+        raise ValueError(f"support must have uniqueness level t <= k - 1, got t={system.t}")
     if not isinstance(rng, np.random.Generator):
         rng = stream(int(rng), "steiner-signs", system.n, system.k)
     signs = rng.integers(0, 2, size=len(system.blocks)) * 2 - 1

@@ -1,6 +1,6 @@
 """Random-sign processes indexed by ball points, and their increment geometry.
 
-On the blocks J of a partial Steiner system with t = k - 1 the process is
+On the blocks J of a partial Steiner system with t <= k - 1 the process is
 Y_z = (1/k) sum_J eps_J z_J with independent Rademacher signs eps_J.  The
 module provides the closed-form L2 increment distance, Monte Carlo
 cross-checks, an empirical Orlicz psi_2 norm (Young function exp(t^2) - 1),
@@ -35,15 +35,13 @@ MAX_ZSCORE = 3.0
 
 @dataclass(frozen=True)
 class RademacherProcess:
-    """Sign process on the blocks of a partial Steiner system with t = k - 1."""
+    """Sign process on the blocks of a partial Steiner system with t <= k - 1."""
 
     system: PartialSteinerSystem
 
     def __post_init__(self):
-        if self.system.t != self.system.k - 1:
-            raise ValueError(
-                f"process support must have t = k - 1, got t={self.system.t}"
-            )
+        if self.system.t > self.system.k - 1:
+            raise ValueError(f"process support must have t <= k - 1, got t={self.system.t}")
 
     @property
     def k(self) -> int:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -53,10 +52,6 @@ class PartialSteinerSystem:
     def cardinality(self) -> int:
         return len(self.blocks)
 
-    def with_uniqueness(self, t: int) -> "PartialSteinerSystem":
-        """Same blocks, re-tagged with a different uniqueness level t."""
-        return PartialSteinerSystem(self.n, self.k, t, self.blocks)
-
     def point_degrees(self) -> np.ndarray:
         """Number of blocks through each point, indexed 0..n-1."""
         deg = np.zeros(self.n, dtype=np.int64)
@@ -64,14 +59,6 @@ class PartialSteinerSystem:
             for x in b:
                 deg[x - 1] += 1
         return deg
-
-    def max_pair_multiplicity(self) -> int:
-        """Largest number of blocks sharing one unordered pair of points."""
-        counts = Counter()
-        for b in self.blocks:
-            for pair in itertools.combinations(b, 2):
-                counts[pair] += 1
-        return max(counts.values(), default=0)
 
 
 @dataclass(frozen=True)
@@ -121,19 +108,15 @@ def validate(system: PartialSteinerSystem) -> ValidationResult:
     )
 
 
-def greedy_generate(n: int, k: int, t: int, rng=None, *, seed=None) -> PartialSteinerSystem:
+def greedy_generate(n: int, k: int, t: int, rng) -> PartialSteinerSystem:
     """Random greedy packing: shuffle all k-subsets, accept first-fit.
 
-    Pass either rng (a numpy Generator or an integer seed) or seed=.  The
-    result is deterministic given the seed and maximal: no remaining
-    k-subset can be added without breaking t-subset uniqueness.
+    rng is a numpy Generator or an integer seed.  The result is
+    deterministic given the seed and maximal: no remaining k-subset can be
+    added without breaking t-subset uniqueness.
     """
     if not (1 <= t <= k <= n):
         raise ValueError(f"need 1 <= t <= k <= n, got t={t} k={k} n={n}")
-    if rng is None:
-        rng = seed
-    if rng is None:
-        raise ValueError("provide rng or seed")
     if not isinstance(rng, np.random.Generator):
         rng = stream(int(rng), "steiner-greedy", n, k, t)
     candidates = list(itertools.combinations(range(1, n + 1), k))

@@ -73,12 +73,12 @@ def test_criterion_01_steiner_validity_and_ceiling():
     for k, t, n_hi in ((3, 2, 15), (4, 3, 12)):
         for n in range(k + 3, n_hi + 1):
             for seed in range(3):
-                sys_ = greedy_generate(n, k, t, seed=seed)
+                sys_ = greedy_generate(n, k, t, seed)
                 assert validate(sys_).valid, (n, k, t, seed)
                 assert sys_.cardinality <= max_cardinality(n, k, t), (n, k, t, seed)
                 checked += 1
     for seed in range(5):
-        assert greedy_generate(6, 2, 1, seed=seed).cardinality == 3
+        assert greedy_generate(6, 2, 1, seed).cardinality == 3
     elapsed = time.time() - t0
     assert elapsed < 5.0
     _pass(1, f"fano + {checked} greedy systems valid and below ceiling; "
@@ -113,7 +113,7 @@ def test_criterion_03_polynomial_vs_multilinear_at_q2():
     worst = 0.0
     for i in range(20):
         n = 6 + (i % 2)
-        sys_ = greedy_generate(n, 3, 2, seed=i)
+        sys_ = greedy_generate(n, 3, 2, i)
         p = random_steiner_polynomial(sys_, rng=np.random.default_rng(ROOT_SEED + i))
         est = estimate_norm(p, 2, restarts=10, seed=i)
         mul = multilinear_estimate(
@@ -129,15 +129,13 @@ def test_criterion_03_polynomial_vs_multilinear_at_q2():
 def test_criterion_04_operator_tuple_identities():
     t0 = time.time()
     instances = [fano_system()]
-    instances += [greedy_generate(n, 3, 2, seed=n) for n in (9, 10)]
-    instances += [
-        greedy_generate(n, 4, 2, seed=n).with_uniqueness(3) for n in (8, 10)
-    ]
+    instances += [greedy_generate(n, 3, 2, n) for n in (9, 10)]
+    instances += [greedy_generate(n, 4, 2, n) for n in (8, 10)]
     for idx, sys_ in enumerate(instances):
         p = random_steiner_polynomial(
             sys_, rng=np.random.default_rng(ROOT_SEED + idx)
         )
-        tup = build_tuple(sys_, p)
+        tup = build_tuple(p)
         rep = verify_report(tup)
         assert rep["max_commutator"] <= 1e-12, idx
         assert all(abs(v - 1.0) <= 1e-10 for v in rep["op_norms"]), idx
@@ -245,7 +243,7 @@ def test_criterion_09_interpolation_soundness():
     t0 = time.time()
     for i in range(20):
         p = random_steiner_polynomial(
-            greedy_generate(7, 3, 2, seed=100 + i),
+            greedy_generate(7, 3, 2, 100 + i),
             rng=np.random.default_rng(ROOT_SEED + 900 + i),
         )
         u2 = min(flattening_upper_bound(p), p.coefficient_sum)

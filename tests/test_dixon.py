@@ -29,9 +29,9 @@ def make_tuple(n, k, seed):
     if (n, k) == (7, 3):
         sys_ = fano_system()
     else:
-        sys_ = greedy_generate(n, k, 2, seed=seed).with_uniqueness(k - 1)
+        sys_ = greedy_generate(n, k, 2, seed)
     p = random_steiner_polynomial(sys_, rng=np.random.default_rng(seed))
-    return build_tuple(sys_, p)
+    return build_tuple(p)
 
 
 def unit(basis, lab):
@@ -91,9 +91,8 @@ def test_dimension_closed_form():
 
 def test_single_block_chain():
     # one signed block (1,2,3): follow e through the layers by hand
-    sys_ = PartialSteinerSystem(n=3, k=3, t=2, blocks=((1, 2, 3),))
     p = HomogeneousPolynomial(n=3, k=3, coeffs={(1, 2, 3): 1.0})
-    tup = build_tuple(sys_, p)
+    tup = build_tuple(p)
     b = tup.basis
     T = dense_ops(tup)
     np.testing.assert_array_equal(T[2] @ unit(b, ("e",)), unit(b, ("t", (3,))))
@@ -109,9 +108,8 @@ def test_single_block_chain():
 def test_single_block_negative_sign():
     # the sign enters twice (coefficient and completion layer), so p(T)e
     # lands on +|J| g no matter how the blocks are signed
-    sys_ = PartialSteinerSystem(n=3, k=3, t=2, blocks=((1, 2, 3),))
     p = HomogeneousPolynomial(n=3, k=3, coeffs={(1, 2, 3): -1.0})
-    tup = build_tuple(sys_, p)
+    tup = build_tuple(p)
     coeff, resid = pte_coefficient(tup)
     assert coeff == 1.0 + 0.0j
     assert resid == 0.0
@@ -127,7 +125,7 @@ def test_monomial_count_identity():
     for n, k, seed in [(7, 3, 0), (9, 3, 1), (8, 4, 2), (10, 4, 3)]:
         tup = make_tuple(n, k, seed)
         coeff, resid = pte_coefficient(tup)
-        assert coeff == complex(tup.system.cardinality)
+        assert coeff == complex(tup.polynomial.term_count)
         assert resid == 0.0
 
 
@@ -148,7 +146,7 @@ def test_polynomial_operator_is_rank_one():
         want = np.zeros_like(m)
         want[tup.basis.index[("g",)], tup.basis.index[("e",)]] = abs(cert.pte_coefficient)
         np.testing.assert_array_equal(m, want)
-        assert abs(cert.pte_coefficient) == tup.system.cardinality
+        assert abs(cert.pte_coefficient) == tup.polynomial.term_count
 
 
 @pytest.mark.parametrize("n,k,seed", [(7, 3, 6), (10, 3, 5), (8, 4, 2), (7, 5, 0)])
@@ -247,7 +245,7 @@ def _label_scan_ops(tup):
     # into dense matrices
     basis, k = tup.basis, tup.k
     completion = {}
-    for block in tup.system.blocks:
+    for block in tup.polynomial.support():
         for x in block:
             completion[frozenset(block) - {x}] = (x, tup.polynomial.coeffs[block].real)
     ops = []
@@ -303,27 +301,31 @@ def test_certify_rejects_ungraded_tuple(n, k, seed):
 
 
 def test_build_rejects_bad_inputs():
-    sys_ = fano_system()
-    p = random_steiner_polynomial(sys_, rng=np.random.default_rng(0))
-    # wrong uniqueness tag
-    with pytest.raises(ValueError):
-        build_tuple(sys_.with_uniqueness(1), p)
-    # support mismatch
-    smaller = PartialSteinerSystem(n=7, k=3, t=2, blocks=sys_.blocks[:-1])
-    with pytest.raises(ValueError):
-        build_tuple(smaller, p)
+    blocks = fano_system().blocks
     # non-unimodular signs
     bad_p = HomogeneousPolynomial(
-        n=7, k=3, coeffs={b: 0.5 for b in sys_.blocks}
+        n=7, k=3, coeffs={b: 0.5 for b in blocks}
     )
     with pytest.raises(ValueError):
-        build_tuple(sys_, bad_p)
+        build_tuple(bad_p)
     # complex phases are not signs
     bad_p2 = HomogeneousPolynomial(
-        n=7, k=3, coeffs={b: 1.0j for b in sys_.blocks}
+        n=7, k=3, coeffs={b: 1.0j for b in blocks}
     )
     with pytest.raises(ValueError):
-        build_tuple(sys_, bad_p2)
+        build_tuple(bad_p2)
+    # the construction needs n >= k >= 3
+    for n, k in [(7, 2), (7, 1), (2, 3)]:
+        with pytest.raises(ValueError, match="n >= k >= 3"):
+            build_tuple(HomogeneousPolynomial(n=n, k=k, coeffs={(1,) * k: 1.0}))
+
+
+def test_build_rejects_repeated_points():
+    # z_1^2 z_2 is not squarefree: its block has a repeated point, so it
+    # has no (k - 2)-subsets to complete
+    p = HomogeneousPolynomial(n=5, k=3, coeffs={(1, 1, 2): 1.0, (3, 4, 5): -1.0})
+    with pytest.raises(ValueError, match="repeated points"):
+        build_tuple(p)
 
 
 def test_build_rejects_pair_collisions():
@@ -339,7 +341,7 @@ def test_build_rejects_pair_collisions():
         n=6, k=4, coeffs={(1, 2, 3, 4): 1.0, (1, 2, 5, 6): 1.0}
     )
     with pytest.raises(ValueError):
-        build_tuple(sys_, p)
+        build_tuple(p)
 
 
 # ------------------------------------------------------- weighted combinations
@@ -390,7 +392,7 @@ def test_weighted_tuple_is_a_certified_row_contraction(n, k, seed):
         for j in reversed(key):
             v = ops[j - 1] @ v
         pe += c * v
-    want = cert.weight_product * tup.system.cardinality * unit(tup.basis, ("g",))
+    want = cert.weight_product * tup.polynomial.term_count * unit(tup.basis, ("g",))
     np.testing.assert_allclose(pe, want, rtol=1e-12, atol=0)
     assert not certify(corrupt_tuple(tup, seed=seed)).ok
 
@@ -432,7 +434,7 @@ def test_certify_rejects_non_permutation():
     value = tup.value * np.where(col == e, 1j, 1) * np.where(tup.target == g, -1j, 1)
     cert = certify(dataclasses.replace(tup, value=value))
     assert cert.graded and cert.commutator == 0 and cert.opnorm_max_dev == 0
-    assert cert.pte_coefficient == tup.system.cardinality and cert.pte_residual == 0
+    assert cert.pte_coefficient == tup.polynomial.term_count and cert.pte_residual == 0
     assert not cert.permutation and not cert.ok
     # two entries in one row of T_1 keep the grading but break the diagonal
     # row Gram that the layer weights are read from
@@ -449,9 +451,8 @@ def test_row_condition_single_block_exact():
     # sup over unit alpha of ||sum alpha_l T_l|| = max(1, 3! * sup|p|) at k=3;
     # for one block sup|p| = 3^{-3/2}, so the sup is 2/sqrt(3), attained at
     # the ascent witness; the weights bring it to 1
-    sys_ = PartialSteinerSystem(n=3, k=3, t=2, blocks=((1, 2, 3),))
     p = HomogeneousPolynomial(n=3, k=3, coeffs={(1, 2, 3): 1.0})
-    tup = build_tuple(sys_, p)
+    tup = build_tuple(p)
     w = estimate_norm(p, 2, seed=1).witness
     alpha = w / np.linalg.norm(w)
     value = _dense_combination_norm(dense_ops(tup), alpha)

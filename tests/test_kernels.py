@@ -167,7 +167,7 @@ def test_kernels_are_row_independent(k, n):
     # a row's output may not depend on the rows beside it, their number or
     # where the batch starts in memory
     p = random_steiner_polynomial(
-        greedy_generate(n, k, k - 1, seed=n), rng=np.random.default_rng(n)
+        greedy_generate(n, k, k - 1, n), rng=np.random.default_rng(n)
     )
     coef, idx = p._coef, p._idx0
     rng = np.random.default_rng(10 * n + k)

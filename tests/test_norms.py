@@ -101,7 +101,7 @@ def test_ascent_polytorus_pairs():
 
 def test_witness_reproduces_lower_and_respects_ball():
     rng = np.random.default_rng(9)
-    p = random_steiner_polynomial(greedy_generate(8, 3, 2, seed=7), rng=rng)
+    p = random_steiner_polynomial(greedy_generate(8, 3, 2, 7), rng=rng)
     for q in (2, 4, "inf"):
         est = estimate_norm(p, q, restarts=6, seed=4)
         assert abs(p.evaluate(est.witness)) == pytest.approx(est.lower, rel=1e-10)
@@ -349,7 +349,7 @@ def written_out_upper(p, q):
 
 
 def steiner_poly(k, n, seed):
-    system = greedy_generate(n, k, k - 1, seed=seed)
+    system = greedy_generate(n, k, k - 1, seed)
     return random_steiner_polynomial(system, rng=np.random.default_rng(seed))
 
 
@@ -424,7 +424,7 @@ def test_l1_ball_bound_values():
 
 def test_l1_ball_bound_is_actually_an_upper_bound():
     rng = np.random.default_rng(17)
-    p = random_steiner_polynomial(greedy_generate(8, 3, 2, seed=9), rng=rng)
+    p = random_steiner_polynomial(greedy_generate(8, 3, 2, 9), rng=rng)
     bound = l1_ball_upper_bound(p)
     for _ in range(200):
         mags = rng.dirichlet(np.ones(8))
@@ -446,7 +446,7 @@ def test_flattening_fano_closed_form():
 
 def test_flattening_steiner_degree_formula():
     for seed, (n, k) in enumerate([(11, 3), (13, 3), (9, 4)]):
-        sys_ = greedy_generate(n, k, 2, seed=seed).with_uniqueness(k - 1)
+        sys_ = greedy_generate(n, k, 2, seed)
         p = random_steiner_polynomial(sys_, rng=np.random.default_rng(seed))
         deg = sys_.point_degrees().max()
         want = math.sqrt(deg / (k * math.factorial(k)))
@@ -463,7 +463,7 @@ def test_flattening_exact_for_rank_one_quadratics():
 
 def test_flattening_dominates_ascent():
     for seed in range(5):
-        sys_ = greedy_generate(9, 3, 2, seed=seed)
+        sys_ = greedy_generate(9, 3, 2, seed)
         p = random_steiner_polynomial(sys_, rng=np.random.default_rng(seed))
         upper = flattening_upper_bound(p)
         est = estimate_norm(p, 2, restarts=8, seed=seed)
@@ -535,7 +535,7 @@ def test_lower_bounds_respect_interpolation_uppers():
     rng = np.random.default_rng(19)
     for seed in range(3):
         p = random_steiner_polynomial(
-            greedy_generate(7, 3, 2, seed=seed), rng=rng
+            greedy_generate(7, 3, 2, seed), rng=rng
         )
         u2 = min(flattening_upper_bound(p), p.coefficient_sum)
         uinf = p.coefficient_sum
@@ -592,7 +592,7 @@ ASCENDED_FORMS = pytest.mark.parametrize(
 
 
 def chaos_draw(n, seed):
-    proc = RademacherProcess(greedy_generate(n, 3, 2, seed=seed))
+    proc = RademacherProcess(greedy_generate(n, 3, 2, seed))
     return proc.signed_polynomial(proc.draw_signs(stream(seed, "sup-signs")))
 
 
@@ -685,6 +685,19 @@ def test_q2_estimate_exceeds_an_exact_sup_by_a_few_ulps_at_most():
         upper, method = certified_upper(p, 2)
         assert method == "flattening"
         assert -1e-12 <= lower - upper <= 4 * np.spacing(upper)
+
+
+@pytest.mark.parametrize("q", [400, 1000])
+def test_large_q_softplus_phase_does_not_overflow(q):
+    # s**q of softplus magnitudes s > 1 overflows near q = 400; the README
+    # chain (`steiner gen --n 7 --k 3 --t 2 --seed 1`, `poly rand --seed 1`)
+    # must still give a finite estimate below the certified upper bound 5
+    chain = random_steiner_polynomial(greedy_generate(7, 3, 2, 1), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = estimate_norm(chain, q, seed=1)
+    upper, _ = certified_upper(chain, q)
+    assert math.isfinite(est.lower) and 4.9 < est.lower <= upper == 5.0
 
 
 @pytest.mark.parametrize("q", ["5/4", "3/2", "7/4"])
@@ -818,7 +831,7 @@ def run_with_loop(monkeypatch, loops, estimator, *args, **kwargs):
 @pytest.mark.parametrize("q", ["2", "inf", "3/2", "3"])
 def test_live_row_ascent_equals_full_batch_loop(monkeypatch, k, n, q):
     p = random_steiner_polynomial(
-        greedy_generate(n, k, k - 1, seed=n + k), rng=np.random.default_rng(n * k)
+        greedy_generate(n, k, k - 1, n + k), rng=np.random.default_rng(n * k)
     )
     cases = [
         (estimate_norm, dict(restarts=12, max_iter=400, seed=k)),

@@ -13,7 +13,7 @@ from vnlab.polynomials import (
     polarize_evaluate,
     random_steiner_polynomial,
 )
-from vnlab.steiner import fano_system, greedy_generate
+from vnlab.steiner import PartialSteinerSystem, fano_system, greedy_generate
 
 
 def pairs_poly(r):
@@ -46,7 +46,7 @@ def test_evaluate_batch_matches_single():
 
 def test_homogeneity():
     rng = np.random.default_rng(8)
-    p = random_steiner_polynomial(greedy_generate(9, 3, 2, seed=2), rng=rng)
+    p = random_steiner_polynomial(greedy_generate(9, 3, 2, 2), rng=rng)
     z = rng.normal(size=9) + 1j * rng.normal(size=9)
     lam = 0.37 - 1.21j
     assert p.evaluate(lam * z) == pytest.approx(lam ** 3 * p.evaluate(z), rel=1e-12)
@@ -99,8 +99,18 @@ def test_random_steiner_signs_unimodular_and_reproducible():
     assert all(c in (1.0, -1.0) for c in p1.coeffs.values())
 
 
+def test_random_steiner_accepts_a_pair_unique_design():
+    # a valid t = 2 design at k = 4 is an S_p(3, 4, 9); its signs are those
+    # of the same blocks tagged t = 3
+    sys_ = greedy_generate(9, 4, 2, 1)
+    tagged = PartialSteinerSystem(sys_.n, sys_.k, 3, sys_.blocks)
+    p = random_steiner_polynomial(sys_, 5)
+    assert p.support() == sys_.blocks
+    assert p.coeffs == random_steiner_polynomial(tagged, 5).coeffs
+
+
 def test_random_steiner_requires_top_uniqueness():
-    sys_ = greedy_generate(9, 3, 3, seed=0)  # t=3 is not k-1=2
+    sys_ = greedy_generate(9, 3, 3, 0)  # t=3 is not k-1=2
     with pytest.raises(ValueError):
         random_steiner_polynomial(sys_, rng=np.random.default_rng(0))
 
@@ -117,7 +127,7 @@ def test_polarize_single_cross_monomial():
 
 def test_polarize_diagonal_recovers_polynomial():
     rng = np.random.default_rng(21)
-    p = random_steiner_polynomial(greedy_generate(8, 3, 2, seed=3), rng=rng)
+    p = random_steiner_polynomial(greedy_generate(8, 3, 2, 3), rng=rng)
     z = rng.normal(size=8) + 1j * rng.normal(size=8)
     z /= np.linalg.norm(z)
     assert polarize_evaluate(p, [z, z, z]) == pytest.approx(p.evaluate(z), rel=1e-12)

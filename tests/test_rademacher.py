@@ -40,7 +40,7 @@ def test_l2_increment_single_block_hand_value():
 
 def test_process_requires_top_uniqueness():
     with pytest.raises(ValueError):
-        RademacherProcess(greedy_generate(9, 3, 3, seed=0))
+        RademacherProcess(greedy_generate(9, 3, 3, 0))
 
 
 def test_mc_increment_matches_closed_form():
@@ -64,7 +64,11 @@ def test_mc_increment_zero_pair():
 def test_signed_polynomial_is_the_steiner_polynomial_over_k():
     # the process and random_steiner_polynomial draw the same signs from one
     # generator state, and the process divides each coefficient by k
-    designs = (greedy_generate(13, 3, 2, seed=4), greedy_generate(9, 4, 3, seed=1))
+    designs = (
+        greedy_generate(13, 3, 2, 4),
+        greedy_generate(9, 4, 3, 1),
+        greedy_generate(9, 4, 2, 1),  # pair-unique, so an S_p(3, 4, 9)
+    )
     for sys_ in (fano_system(), *designs):
         proc = RademacherProcess(sys_)
         got = proc.signed_polynomial(proc.draw_signs(stream(21, "same-state")))

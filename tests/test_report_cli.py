@@ -204,6 +204,24 @@ def test_cli_dixon_verify_pass_and_fail(tmp_path, capsys):
     assert body["records"][0]["certified"] is False
 
 
+@pytest.mark.parametrize(
+    "n,k,terms",
+    [(3, 1, {(1,): 1.0, (2,): -1.0}), (2, 3, {(1, 1, 2): 1.0})],
+    ids=["k1", "n_below_k"],
+)
+def test_cli_dixon_verify_outside_the_construction_fails_certification(
+    n, k, terms, tmp_path, capsys
+):
+    # a polynomial the construction does not cover (it needs n >= k >= 3) is
+    # a built: false record and exit 2, not a bad configuration
+    path = tmp_path / "p.json"
+    path.write_text(HomogeneousPolynomial(n=n, k=k, coeffs=terms).to_json())
+    assert run_cli("dixon", "verify", "--poly", str(path)) == EXIT_CERTIFICATION
+    rec = json.loads(capsys.readouterr().out)["records"][0]
+    assert rec["built"] is False and rec["certified"] is False
+    assert "n >= k >= 3" in rec["error"]
+
+
 def test_cli_rademacher_check_csv(tmp_path, capsys):
     sys_path = tmp_path / "sys.txt"
     run_cli("steiner", "gen", "--n", "7", "--k", "3", "--t", "2", "--out", str(sys_path))

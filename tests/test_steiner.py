@@ -71,7 +71,7 @@ def test_greedy_matching_on_six_points_is_perfect():
     # k=2, t=1: blocks are disjoint edges; any maximal matching on an even
     # clique is perfect, so the greedy always lands exactly 3 blocks.
     for seed in range(8):
-        sys_ = greedy_generate(6, 2, 1, seed=seed)
+        sys_ = greedy_generate(6, 2, 1, seed)
         assert sys_.cardinality == 3
         assert validate(sys_).valid
         used = [p for b in sys_.blocks for p in b]
@@ -81,14 +81,14 @@ def test_greedy_matching_on_six_points_is_perfect():
 @pytest.mark.parametrize("n,k,t", [(7, 3, 2), (11, 3, 2), (9, 4, 3), (8, 4, 2)])
 def test_greedy_valid_and_below_ceiling(n, k, t):
     for seed in (0, 1, 2):
-        sys_ = greedy_generate(n, k, t, seed=seed)
+        sys_ = greedy_generate(n, k, t, seed)
         assert validate(sys_).valid
         assert sys_.cardinality <= max_cardinality(n, k, t)
 
 
 def test_greedy_is_maximal():
     # no unused k-subset can be added without breaking t-uniqueness
-    sys_ = greedy_generate(9, 3, 2, seed=5)
+    sys_ = greedy_generate(9, 3, 2, 5)
     covered = set(cover_counts(sys_.blocks, 2))
     existing = set(sys_.blocks)
     for cand in itertools.combinations(range(1, 10), 3):
@@ -99,9 +99,9 @@ def test_greedy_is_maximal():
 
 
 def test_greedy_deterministic_in_seed():
-    a = greedy_generate(12, 3, 2, seed=99)
-    b = greedy_generate(12, 3, 2, seed=99)
-    c = greedy_generate(12, 3, 2, seed=100)
+    a = greedy_generate(12, 3, 2, 99)
+    b = greedy_generate(12, 3, 2, 99)
+    c = greedy_generate(12, 3, 2, 100)
     assert a.blocks == b.blocks
     assert a.blocks != c.blocks
 
@@ -132,22 +132,15 @@ def test_point_degrees_and_pair_multiplicity():
     sys_ = fano_system()
     deg = sys_.point_degrees()
     assert deg.tolist() == [3] * 7
-    assert sys_.max_pair_multiplicity() == 1
-    doubled = PartialSteinerSystem(n=6, k=4, t=3,
-                                   blocks=((1, 2, 3, 4), (1, 2, 5, 6)))
-    assert doubled.max_pair_multiplicity() == 2
-
-
-def test_with_uniqueness_retags_t():
-    sys_ = greedy_generate(9, 4, 2, seed=1)
-    retagged = sys_.with_uniqueness(3)
-    assert retagged.t == 3
-    assert retagged.blocks == sys_.blocks
-    assert validate(retagged).valid  # stronger level is implied by the weaker
+    # two blocks sharing the pair {1, 2}: valid at t = 3, a violation at t = 2
+    blocks = ((1, 2, 3, 4), (1, 2, 5, 6))
+    assert validate(PartialSteinerSystem(n=6, k=4, t=3, blocks=blocks)).valid
+    doubled = validate(PartialSteinerSystem(n=6, k=4, t=2, blocks=blocks))
+    assert doubled.violations == (((1, 2), (1, 2, 3, 4), (1, 2, 5, 6)),)
 
 
 def test_serialization_roundtrip():
-    for sys_ in (fano_system(), greedy_generate(11, 3, 2, seed=4)):
+    for sys_ in (fano_system(), greedy_generate(11, 3, 2, 4)):
         text = dumps_system(sys_)
         back = loads_system(text)
         assert back == sys_
@@ -167,7 +160,7 @@ def test_loads_rejects_malformed_text():
 def test_greedy_property_valid_any_shape(n, k, seed):
     k = min(k, n)
     t = k - 1 if k > 1 else 1
-    sys_ = greedy_generate(n, k, t, seed=seed)
+    sys_ = greedy_generate(n, k, t, seed)
     assert validate(sys_).valid
     counts = cover_counts(sys_.blocks, t)
     assert all(c == 1 for c in counts.values())
