@@ -6,11 +6,13 @@ restart ascends in its phases at q = inf and in softplus magnitudes and
 phases at finite q.  For 1 < q <= 2 this softplus phase only picks the
 basin: it stops once a step gains little, and each restart then finishes
 in its basin with shifted l_q power steps (_power_step), taken while they
-raise |p|.  At q = 2 that is the shifted power step of Kolda and Mayo,
-which started from random points picks worse basins than the softplus
-phase does.  Below 2 the handover comes later, since a power step taken
-from a saddle's plateau can climb into a poorer basin.  max_iter caps the
-iterations of both phases together.
+raise |p| and stopped early in a poorer basin's tail, where even at its
+last gain per step a restart could not reach the leading one.  At q = 2
+that is the shifted power step of Kolda and Mayo, which started from
+random points picks worse basins than the softplus phase does.  Below 2
+the handover comes later, since a power step taken from a saddle's
+plateau can climb into a poorer basin.  max_iter caps the iterations of
+both phases together.
 
 Every ascent runs on p times k^{k/q} / max |c_J| (_in_sup_units), a form
 whose sup is at least 1, so its steps and stopping tests do not depend on
@@ -49,6 +51,11 @@ _STEP_SHRINK = 0.5
 _BACKTRACK_LIMIT = 60
 # a restart has converged once an accepted step gains at most this relative amount
 _ASCENT_TOL = 1e-10
+# a power-phase restart whose step gains at most this relative amount stops if,
+# gaining as much at every remaining iteration, it could not reach the best
+# restart; a larger gain can belong to a crawl past a saddle's plateau that
+# speeds up and overtakes
+_TAIL_TOL = 1e-7
 # at q = 2 the softplus-phase ascent hands a restart to the power steps here;
 # 1e-7 there costs more softplus steps and finds the same values
 _HANDOVER_TOL = 1e-4
@@ -148,25 +155,47 @@ def _power_ascent(p, z, qf, max_iter):
     """Shifted l_q power iteration (_power_step) of |p| on the rows of z, 1 < qf <= 2.
 
     A row takes its step only if |p| rises there; otherwise it stops and
-    counts as converged, as does a row with p = 0.  Each iteration
+    counts as converged, as does a row with p = 0.  A row whose step rises
+    from v to v' also stops, keeping v', once it sits in a poorer basin's
+    tail: its gain g = v' - v is at most _TAIL_TOL v, and v' + r g, with r
+    the iterations left, is below the best |p| that any row holds.  Gaining
+    g at every remaining iteration, it could not reach the best, and the
+    leading row never stops this way; a larger gain is spared, since a row
+    crawling past a saddle's plateau can speed up.  Each iteration
     differentiates the live rows only, at their steps, which gives both the
-    test and the next step; every operation treats each row on its own, so
-    the result equals that of stepping every row in every iteration.
+    tests and the next step; it re-indexes them only when some row stops.
+    Every operation treats each row on its own, so the result equals that
+    of stepping every row in every iteration.
     Returns (points, values |p|, iterations, converged mask).
     """
     z = np.array(z, dtype=np.complex128)
     f, df = p.gradient_batch(z)
     values = np.abs(f)
     live = np.flatnonzero(values > 0.0)
-    df = df[live]
+    # the live rows' points, values and derivatives, in the order of live
+    zl, fl, vl, df = z[live], f[live], values[live], df[live]
     iterations = 0
     while live.size and iterations < max_iter:
         iterations += 1
-        w = _power_step(z[live], f[live], df, qf)
+        w = _power_step(zl, fl, df, qf)
         fw, dfw = p.gradient_batch(w)
-        up = np.abs(fw) > values[live]
-        live = live[up]
-        z[live], f[live], values[live], df = w[up], fw[up], np.abs(fw[up]), dfw[up]
+        vw = np.abs(fw)
+        gain = vw - vl
+        fast = gain > _TAIL_TOL * vl
+        if not fast.all():
+            # values holds the stopped rows' last values and earlier ones of the live rows
+            best = max(values.max(), vl.max(), vw.max())
+            # a step that does not rise (or is NaN) stops its row too
+            stop = ~fast & (~(gain > 0.0) | (vw + (max_iter - iterations) * gain < best))
+            if stop.any():
+                rose = gain[stop] > 0.0
+                out = live[stop]
+                z[out] = np.where(rose[:, None], w[stop], zl[stop])
+                values[out] = np.where(rose, vw[stop], vl[stop])
+                keep = ~stop
+                live, w, fw, vw, dfw = live[keep], w[keep], fw[keep], vw[keep], dfw[keep]
+        zl, fl, vl, df = w, fw, vw, dfw
+    z[live], values[live] = zl, vl
     converged = np.ones(z.shape[0], dtype=bool)
     converged[live] = False
     return z, values, iterations, converged
@@ -265,15 +294,17 @@ def estimate_norm(
     unit sphere and the objective stays smooth.  For 1 < q <= 2 every
     restart hands over at _HANDOVER_TOL (q = 2) or _POWER_HANDOVER_TOL, or
     after half of max_iter, and then finishes in its basin by shifted l_q
-    power steps until a step gains nothing (_power_ascent).  The half keeps
-    iterations for the second phase when one slow restart holds the others
-    back.  max_iter (at least 1) caps the iterations of both phases
-    together; iterations counts both, and converged_restarts counts the
-    restarts whose last phase stopped before the cap.  Each restart derives
-    its own RNG stream from (seed, restart index); extra_starts are further
-    start points.  Both phases ascend _in_sup_units(p, q), so the estimate
-    is independent of the scale of p: the witness and the counts are the
-    same, and lower = |p(witness)| scales with p.  The witness satisfies
+    power steps until a step gains nothing or the restart is in a poorer
+    basin's tail (_power_ascent).  The half keeps iterations for the second
+    phase when one slow restart holds the others back.  max_iter (at least
+    1) caps the iterations of both phases together; iterations counts
+    both, and converged_restarts counts the restarts whose last phase
+    stopped before the cap, those stopped in their tail included.  Each
+    restart derives its own RNG stream from (seed, restart index);
+    extra_starts are further start points.  Both phases ascend
+    _in_sup_units(p, q), so the estimate is independent of the scale of p:
+    the witness and the counts are the same, and lower = |p(witness)|
+    scales with p.  The witness satisfies
     the ball constraint and reproduces the reported lower value by direct
     evaluation.  The result is an estimate only; the certified upper end is
     certified_upper(p, q), which this function does not compute.  The

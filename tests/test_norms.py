@@ -780,7 +780,9 @@ def full_batch_ascent(p, params, qf, max_iter, tol):
 
 def full_batch_power_ascent(p, z, qf, max_iter):
     """The power phase with every row stepped and differentiated in every
-    iteration; a stopped row discards its step."""
+    iteration; a stopped row discards its step.  A row whose step rises by
+    at most _TAIL_TOL relative keeps it and stops if, rising as much at
+    every remaining iteration, it stays below the best row."""
     z = np.array(z, dtype=np.complex128)
     f, df = p.gradient_batch(z)
     values = np.abs(f)
@@ -790,9 +792,12 @@ def full_batch_power_ascent(p, z, qf, max_iter):
         iterations += 1
         w = norms._power_step(z, f, df, qf)
         fw, dfw = p.gradient_batch(w)
-        up = ~converged & (np.abs(fw) > values)
-        converged |= ~up
+        gain = np.abs(fw) - values
+        small = gain <= norms._TAIL_TOL * values
+        up = ~converged & (gain > 0.0)
         z[up], f[up], values[up], df[up] = w[up], fw[up], np.abs(fw[up]), dfw[up]
+        reach = values + (max_iter - iterations) * gain
+        converged |= ~up | (small & (reach < values.max()))
     return z, values, iterations, converged
 
 
@@ -882,3 +887,67 @@ def test_a_step_that_loses_at_every_halving_stops_the_restart(q):
     assert converged.all()
     assert np.array_equal(z, norms._points(params, qf)[0])
     assert np.array_equal(values, np.ones(4))
+
+
+# ------------------------------------------------- power-phase tail rule
+
+
+def stop_on_loss_power_ascent(p, z, qf, max_iter):
+    """The power phase without its tail rule: a row steps while |p| rises."""
+    z = np.array(z, dtype=np.complex128)
+    f, df = p.gradient_batch(z)
+    values = np.abs(f)
+    live = np.flatnonzero(values > 0.0)
+    df = df[live]
+    iterations = 0
+    while live.size and iterations < max_iter:
+        iterations += 1
+        w = norms._power_step(z[live], f[live], df, qf)
+        fw, dfw = p.gradient_batch(w)
+        up = np.abs(fw) > values[live]
+        live = live[up]
+        z[live], f[live], values[live], df = w[up], fw[up], np.abs(fw[up]), dfw[up]
+    converged = np.ones(z.shape[0], dtype=bool)
+    converged[live] = False
+    return z, values, iterations, converged
+
+
+@pytest.mark.parametrize(
+    "kind, n, seed, max_iter",
+    # sample_sup's ascent on three chaos draws, where the stop-on-loss loop
+    # runs 1535, 2000 and 2000 iterations; and a capped pipeline cell that the
+    # rule must not cut, whose value at 800 iterations is below that at 4000
+    [("chaos", 25, 5, 2000), ("chaos", 25, 6, 2000), ("chaos", 25, 7, 2000)]
+    + [("D", 40, 1, 800), ("D", 40, 1, 4000)],
+)
+def test_tail_rule_keeps_the_estimate_of_the_stop_on_loss_loop(
+    monkeypatch, kind, n, seed, max_iter
+):
+    if kind == "chaos":
+        p, restarts = chaos_draw(n, seed), 32
+    else:
+        p, restarts = bounds._pipeline_inputs(3, n, seed)[1], 16
+    kwargs = dict(restarts=restarts, max_iter=max_iter, seed=seed)
+    got = estimate_norm(p, 2, **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(norms, "_power_ascent", stop_on_loss_power_ascent)
+        want = estimate_norm(p, 2, **kwargs)
+    assert got.lower == want.lower
+    assert np.array_equal(got.witness, want.witness)
+    assert got.converged_restarts >= want.converged_restarts
+    if kind == "chaos":
+        assert got.iterations < want.iterations
+    else:
+        assert got.iterations <= want.iterations
+
+
+@pytest.mark.parametrize(
+    "n, index, q, lower", [(17, 2, "2", 0.4580806456820283), (23, 2, "3/2", 0.11773011422760432)]
+)
+def test_tail_rule_spares_a_restart_crawling_past_a_saddle_plateau(n, index, q, lower):
+    # criterion 07 cells whose winning restart crawls past a saddle's plateau
+    # at gains of 5e-5 or more, then speeds up and overtakes the others; a
+    # tail rule without the _TAIL_TOL gate stops it (0.456608 and 0.117693)
+    seed = bounds._cell_seed(20260826, n, index)
+    p = bounds._pipeline_inputs(3, n, seed)[1]
+    assert estimate_norm(p, q, restarts=16, max_iter=800, seed=seed).lower == lower
