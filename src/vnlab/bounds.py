@@ -196,7 +196,7 @@ def _lower_bound(
         scale = (1.0 + upper) ** -0.5
         ref_upper, ref_lower = refs.d_upper, refs.d_lower
     else:
-        scale = 1.0 if q.is_inf else float(n) ** (-1.0 / q.as_float())
+        scale = float(n) ** (-1.0 / q.as_float())
         ref_upper, ref_lower = refs.classical_upper, refs.improved_lower
         if ref_upper is None:
             ref_upper = refs.improved_lower

@@ -25,13 +25,13 @@ norm k^{-1/q}, so multilinear_estimate is estimate_norm on the lift over
 that one sphere, with each block of its witness scaled to the unit sphere.
 
 Upper bounds come from certified closed forms, and certified_upper is the
-one place that picks among them:
+one place that picks among them, the least of the named forms that apply:
 
   * the coefficient absolute sum (any q),
+  * the l1-ball bound max_J |c_J| mult(J)! / k! (q = 1),
   * the spectral norm of the coefficient-tensor flattening (q = 2), which
     is the exact Euclidean sup at k = 2,
-  * the l1-ball bound max_J |c_J| mult(J)! / k! (q = 1),
-  * Hoelder interpolation between certified endpoint bounds.
+  * Hoelder interpolation between certified_upper at the anchors 1, 2, inf.
 """
 
 from __future__ import annotations
@@ -442,30 +442,24 @@ def interpolation_upper(q, low, high, k: int) -> float:
 def certified_upper(p: HomogeneousPolynomial, q) -> tuple[float, str]:
     """The smallest closed-form upper bound on sup_{||z||_q <= 1} |p(z)| that applies at q.
 
-    Returns (value, method).  The coefficient sum applies at every q; a
-    tighter form replaces it only if strictly smaller: at q = 2 the
-    flattening, at q = 1 the l1-ball bound, and for 1 < q < 2 or
-    2 < q < inf (k >= 2) the Hoelder interpolation between the endpoint
-    bounds, which at large q can exceed the coefficient sum.
+    Returns (value, method), the least of the named forms that apply: the
+    coefficient sum at every q (it wins a tie), the l1-ball bound at q = 1,
+    the flattening at q = 2, and for 1 < q < 2 or 2 < q < inf (k >= 2) the
+    Hoelder interpolation between certified_upper itself at the neighbouring
+    anchors, (1, 2) or (2, inf), so a form on an anchor reaches them too.
     """
     q = Exponent.parse(q)
-    coef_sum = p.coefficient_sum
-    if q.is_inf or (p.k < 2 and q.fraction not in (1, 2)):
-        return coef_sum, "coefficient_sum"
-    qf = q.fraction
+    qf = None if q.is_inf else q.fraction
+    forms = {"coefficient_sum": p.coefficient_sum}
     if qf == 1:
-        value, method = l1_ball_upper_bound(p), "l1"
-    else:
-        u2 = min(flattening_upper_bound(p), coef_sum)
-        if qf == 2:
-            value, method = u2, "flattening"
-        elif qf > 2:
-            value = interpolation_upper(q, (2, u2), ("inf", coef_sum), p.k)
-            method = "interpolation"
-        else:
-            value = interpolation_upper(q, (1, l1_ball_upper_bound(p)), (2, u2), p.k)
-            method = "interpolation"
-    return (value, method) if value < coef_sum else (coef_sum, "coefficient_sum")
+        forms["l1"] = l1_ball_upper_bound(p)
+    elif qf == 2:
+        forms["flattening"] = flattening_upper_bound(p)
+    elif qf is not None and p.k >= 2:
+        ends = [(a, certified_upper(p, a)[0]) for a in ((1, 2) if qf < 2 else (2, "inf"))]
+        forms["interpolation"] = interpolation_upper(q, *ends, p.k)
+    method = min(forms, key=forms.get)
+    return forms[method], method
 
 
 def _multiplicity_factorial(key) -> int:
@@ -511,8 +505,6 @@ def flattening_upper_bound(p: HomogeneousPolynomial) -> float:
     supports on a partial Steiner system with t = k - 1 the Gram matrix
     M M^* is diagonal and the bound is max_i sqrt(deg(i) / (k * k!)).
     """
-    if p.term_count == 0:
-        return 0.0
     n, k = p.n, p.k
     if k == 1:
         return float(np.linalg.norm(list(p.coeffs.values())))

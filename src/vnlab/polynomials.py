@@ -71,7 +71,7 @@ class HomogeneousPolynomial:
     @property
     def coefficient_sum(self) -> float:
         """sum_J |c_J|, a sup bound on |p| over every unit ball with |z_j| <= 1."""
-        return float(np.abs(self._coef).sum()) if self.coeffs else 0.0
+        return float(np.abs(self._coef).sum())
 
     def evaluate(self, z) -> complex:
         z = np.asarray(z, dtype=np.complex128)

@@ -152,8 +152,10 @@ def psi2_norm_mc(sampler, samples: int, seed: int) -> OrliczEstimate:
     gauge equation is solved to round-off (_psi2_from_abs_sq).  The estimate is
     flagged unstable when the empirical gauge at it differs grossly between
     the two halves of the sample (heavy tails making the exponential mean
-    unreliable).
+    unreliable).  It needs samples >= 1.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = stream(seed, "orlicz-sampler")
     z = np.asarray(sampler(rng, samples))
     abs_sq = np.abs(z) ** 2
@@ -197,13 +199,15 @@ def lipschitz_check(
     mc_pairs: int = 3,
     mc_draws: int = 20000,
 ) -> LipschitzReport:
-    """Sampled check of d(z, z') <= ||z - z'||_inf on ball pairs.
+    """Sampled check of d(z, z') <= ||z - z'||_inf on ball pairs (at least 1).
 
     The Lipschitz constant is 1 for a design with blocks and 0 for an empty
     one, whose pairs are all skipped; a violation is an excess over
     LIPSCHITZ_TOL.  Also reports the empirical psi_2 / L2 ratio of the
     increment on a few pairs, which should sit inside PSI2_CORRIDOR.
     """
+    if pairs < 1:
+        raise ValueError(f"pairs must be >= 1, got {pairs}")
     lip = 1.0 if proc.system.blocks else 0.0
     rows = []
     violations = 0

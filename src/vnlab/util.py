@@ -44,6 +44,8 @@ class Exponent:
                 object.__setattr__(self, "_value", Fraction(self._value))
             if self._value < 1:
                 raise ValueError(f"exponent must satisfy q >= 1, got {self._value}")
+            if self._value > np.finfo(float).max:
+                raise ValueError("a finite exponent q must fit in a float; use inf")
 
     @classmethod
     def parse(cls, text) -> "Exponent":

@@ -412,6 +412,29 @@ def test_certified_upper_zero_and_linear_polynomials():
     assert certified_upper(linear, 3) == (7.0, "coefficient_sum")
 
 
+@pytest.mark.parametrize("q", ["3/2", "3", "4"])
+def test_interpolation_reads_its_anchors_from_certified_upper(monkeypatch, q):
+    # a tighter form on the anchor q = 2 (here: half the real bound) must
+    # reach the interpolated exponents with no further code
+    p = steiner_poly(3, 13, 2)
+    real = norms.certified_upper
+
+    def halved_at_2(p, q):
+        value, method = real(p, q)
+        return (value / 2, method) if Exponent.parse(q) == Exponent.parse(2) else (value, method)
+
+    monkeypatch.setattr(norms, "certified_upper", halved_at_2)
+    anchors = (1, 2) if Exponent.parse(q).fraction < 2 else (2, "inf")
+
+    def interpolated(upper):
+        ends = [(a, upper(p, a)[0]) for a in anchors]
+        return min(interpolation_upper(q, *ends, 3), p.coefficient_sum)
+
+    want = interpolated(halved_at_2)
+    assert want < interpolated(real)
+    assert real(p, q)[0] == want
+
+
 def test_l1_ball_bound_values():
     p3 = HomogeneousPolynomial(n=7, k=3, coeffs={(1, 2, 3): 1.0, (4, 5, 6): -1.0})
     assert l1_ball_upper_bound(p3) == pytest.approx(1 / 6, rel=1e-14)
@@ -546,6 +569,17 @@ def test_lower_bounds_respect_interpolation_uppers():
         for q in (1.25, 1.5, 1.75):
             est = estimate_norm(p, q, restarts=6, seed=seed)
             assert est.lower <= interpolation_upper(q, (1, u1), (2, u2), 3) + 1e-9
+
+
+@pytest.mark.parametrize("k,n", [(3, 7), (3, 13), (3, 19), (3, 25), (4, 8), (4, 13)])
+def test_no_estimate_exceeds_certified_upper(k, n):
+    # the pipelines' own inputs against the form certified_upper selects
+    seed = bounds._cell_seed(20260826, n, 0)
+    p = bounds._pipeline_inputs(k, n, seed)[1]
+    for q in ("1", "5/4", "3/2", "7/4", "2", "3", "4", "inf"):
+        lower = estimate_norm(p, q, restarts=4, max_iter=200, seed=seed).lower
+        upper, method = certified_upper(p, q)
+        assert lower <= upper * (1 + 1e-12), (q, method)
 
 
 def test_row_norm_certificate_theory():

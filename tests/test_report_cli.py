@@ -398,8 +398,9 @@ def test_cli_exit_codes(tmp_path, capsys):
 SWEEP_ARGS = ("bounds", "sweep", "--kind", "C", "--q", "inf", "--k", "3", "--seeds", "1")
 
 
-# counts that leave nothing to run, or a Monte Carlo check without a
-# standard error, exit 1 with an error that names the option
+# counts that leave nothing to run, a Monte Carlo check without a standard
+# error, or a finite exponent that overflows a float, exit 1 with an error
+# that names the count or the exponent
 @pytest.mark.parametrize("argv,name", [
     pytest.param(("norm", "--poly", "{poly}", "--restarts", "0"), "restarts", id="restarts-0"),
     pytest.param(("norm", "--poly", "{poly}", "--max-iter", "0"), "max_iter", id="max-iter-0"),
@@ -422,6 +423,15 @@ SWEEP_ARGS = ("bounds", "sweep", "--kind", "C", "--q", "inf", "--k", "3", "--see
         "draws",
         id="mc-check-draws-1",
     ),
+    pytest.param(
+        ("rademacher", "check", "--system", "{system}", "--pairs", "5", "--mc-draws", "0"),
+        "samples",
+        id="mc-draws-0",
+    ),
+    pytest.param(
+        ("rademacher", "check", "--system", "{system}", "--pairs", "0"), "pairs", id="pairs-0"
+    ),
+    pytest.param(("norm", "--poly", "{poly}", "--q", "1e400"), "exponent", id="q-1e400"),
 ])
 def test_cli_rejects_counts_that_do_nothing(argv, name, tmp_path, capsys):
     paths = {"system": tmp_path / "sys.txt", "poly": tmp_path / "p.json"}
