@@ -184,6 +184,8 @@ def _check(kind, lhs, rhs, ratio, ok) -> dict:
 
 def _handle_rademacher_check(cfg):
     _require(cfg, "system")
+    if cfg["mc_checks"] < 0:
+        raise ConfigError(f"option mc_checks must be >= 0, got {cfg['mc_checks']!r}")
     text = _read_text(cfg["system"])
     system = steiner.loads_system(text)
     proc = rademacher.RademacherProcess(system)
@@ -213,7 +215,11 @@ def _handle_rademacher_check(cfg):
         zscore = abs(mc - closed) / se if se > 0 else 0.0
         records.append(_check("l2_mc", closed, mc, zscore, zscore <= rademacher.MAX_ZSCORE))
     failed = any(not r["ok"] for r in records)
-    summary = {"max_lipschitz_ratio": lip.max_ratio, "violations": lip.violations}
+    summary = {
+        "max_lipschitz_ratio": lip.max_ratio,
+        "violations": lip.violations,
+        "psi2_unstable": lip.psi2_unstable,
+    }
     return _report(cfg, records, text, summary=summary), None, failed
 
 

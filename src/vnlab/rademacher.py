@@ -32,6 +32,10 @@ LIPSCHITZ_TOL = 1e-12
 PSI2_CORRIDOR = (0.4, 4.0)
 MAX_ZSCORE = 3.0
 
+# entries per chunk of random signs in _sign_sums: about 1.5 MB of int64 and
+# complex scratch, however many draws and blocks
+_SIGN_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class RademacherProcess:
@@ -74,9 +78,33 @@ class RademacherProcess:
         return products[0] - products[1]
 
 
+def _l2_norm(increment: np.ndarray, k: int) -> float:
+    return float(np.sqrt((np.abs(increment) ** 2).sum()) / k)
+
+
 def l2_distance(proc: RademacherProcess, z, zp) -> float:
     """Closed-form L2 increment (1/k) (sum_J |z_J - z'_J|^2)^{1/2}."""
-    return float(np.sqrt((np.abs(proc._increment(z, zp)) ** 2).sum()) / proc.k)
+    return _l2_norm(proc._increment(z, zp), proc.k)
+
+
+def _sign_sums(rng: np.random.Generator, w: np.ndarray, draws: int) -> np.ndarray:
+    """sum_j eps_j w_j for draws independent sign vectors eps, as (draws,) complex.
+
+    The signs come from rng in chunks of whole rows of at most _SIGN_CHUNK
+    entries (one row if a row is longer), so the memory does not grow with
+    draws * len(w); rng.integers carries its stream on across calls, so the
+    signs are those of one (draws, len(w)) draw.  Each row is summed by
+    einsum's loop, in j order, so no value depends on the chunk size (a BLAS
+    product, @, would: see kernels).
+    """
+    w = np.asarray(w, dtype=np.complex128)
+    rows = max(1, _SIGN_CHUNK // max(1, len(w)))
+    out = np.empty(draws, dtype=np.complex128)
+    for start in range(0, draws, rows):
+        stop = min(start + rows, draws)
+        signs = rng.integers(0, 2, size=(stop - start, len(w))) * 2 - 1
+        out[start:stop] = np.einsum("dj,j->d", signs.astype(np.complex128), w)
+    return out
 
 
 def mc_increment_std(proc: RademacherProcess, z, zp, draws: int, seed: int):
@@ -89,9 +117,7 @@ def mc_increment_std(proc: RademacherProcess, z, zp, draws: int, seed: int):
     if draws < 2:
         raise ValueError(f"draws must be >= 2 for a standard error, got {draws}")
     w = proc._increment(z, zp) / proc.k
-    rng = stream(seed, "increment-mc")
-    signs = rng.integers(0, 2, size=(draws, len(w))) * 2 - 1
-    samples = np.abs(signs @ w) ** 2
+    samples = np.abs(_sign_sums(stream(seed, "increment-mc"), w, draws)) ** 2
     mean_sq = samples.mean()
     rms = math.sqrt(mean_sq)
     if rms == 0.0:
@@ -189,6 +215,7 @@ class LipschitzReport:
     violations: int
     rows: tuple  # (lhs, rhs, ratio) per sampled pair
     psi2_l2_ratios: tuple  # empirical psi2/L2 comparability on a few increments
+    psi2_unstable: int  # how many of those psi2 estimates psi2_norm_mc flagged unstable
 
 
 def lipschitz_check(
@@ -204,19 +231,24 @@ def lipschitz_check(
     The Lipschitz constant is 1 for a design with blocks and 0 for an empty
     one, whose pairs are all skipped; a violation is an excess over
     LIPSCHITZ_TOL.  Also reports the empirical psi_2 / L2 ratio of the
-    increment on a few pairs, which should sit inside PSI2_CORRIDOR.
+    increment on the first mc_pairs pairs (0 for none), which should sit
+    inside PSI2_CORRIDOR, and how many of those estimates were unstable.
     """
     if pairs < 1:
         raise ValueError(f"pairs must be >= 1, got {pairs}")
+    if mc_pairs < 0:
+        raise ValueError(f"mc_pairs must be >= 0, got {mc_pairs}")
     lip = 1.0 if proc.system.blocks else 0.0
     rows = []
     violations = 0
     max_ratio = 0.0
     ratios_psi2 = []
+    unstable = 0
     for i in range(pairs):
         z = ball_point(stream(seed, "lipschitz", i, 0), proc.n)
         zp = ball_point(stream(seed, "lipschitz", i, 1), proc.n)
-        lhs = l2_distance(proc, z, zp)
+        increment = proc._increment(z, zp)
+        lhs = _l2_norm(increment, proc.k)
         rhs = lip * float(np.abs(z - zp).max())
         if rhs == 0.0:
             continue
@@ -226,18 +258,17 @@ def lipschitz_check(
         if lhs > rhs + LIPSCHITZ_TOL:
             violations += 1
         if i < mc_pairs and lhs > 0.0:
-            w = proc._increment(z, zp) / proc.k
-
-            def increment_sampler(rng, size, w=w):
-                signs = rng.integers(0, 2, size=(size, len(w))) * 2 - 1
-                return signs @ w
-
-            est = psi2_norm_mc(increment_sampler, mc_draws, seed + 7919 * i)
+            w = increment / proc.k
+            est = psi2_norm_mc(
+                lambda rng, size: _sign_sums(rng, w, size), mc_draws, seed + 7919 * i
+            )
             ratios_psi2.append(est.value / lhs)
+            unstable += est.unstable
     return LipschitzReport(
         pairs=len(rows),
         max_ratio=float(max_ratio),
         violations=violations,
         rows=tuple(rows),
         psi2_l2_ratios=tuple(ratios_psi2),
+        psi2_unstable=unstable,
     )

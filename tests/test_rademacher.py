@@ -1,10 +1,13 @@
 """Sign-process increments, Orlicz calibration, and Lipschitz envelopes."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from vnlab import rademacher
 from vnlab.polynomials import random_steiner_polynomial
 from vnlab.rademacher import (
     RADEMACHER_PSI2,
@@ -52,6 +55,49 @@ def test_mc_increment_matches_closed_form():
         got, se = mc_increment_std(proc, z, zp, draws=60000, seed=i)
         assert abs(got - want) <= 3 * se
         assert se < want / 50  # draws are plenty for a tight proxy
+
+
+@pytest.mark.parametrize("m", [1, 85, 86])
+def test_sign_sums_do_not_depend_on_the_chunk(m, monkeypatch):
+    # 1 row a chunk, an odd row count (an odd entry count at odd m), and one
+    # chunk of more rows than draws all give the default's bits
+    draws = 1001
+    w = stream(3, "w", m).standard_normal(m) + 1j * stream(4, "w", m).standard_normal(m)
+    want = rademacher._sign_sums(stream(5, "signs"), w, draws)
+    for rows in (1, 7, draws + 4):
+        monkeypatch.setattr(rademacher, "_SIGN_CHUNK", rows * m)
+        got = rademacher._sign_sums(stream(5, "signs"), w, draws)
+        assert got.view(np.float64).tobytes() == want.view(np.float64).tobytes()
+
+
+def test_sign_sums_draw_the_signs_of_one_draw(monkeypatch):
+    # with w_j = 2^j each sum is an exact integer whose binary digits are the
+    # signs; chunks of 3 rows of 45 entries hold an odd number of entries
+    m, draws = 45, 200
+    monkeypatch.setattr(rademacher, "_SIGN_CHUNK", 3 * m)
+    sums = rademacher._sign_sums(stream(8, "signs"), 2.0 ** np.arange(m), draws)
+    assert not sums.imag.any()
+    bits = (sums.real.astype(np.int64) + (2**m - 1)) // 2
+    got = (bits[:, None] >> np.arange(m)) & 1
+    want = stream(8, "signs").integers(0, 2, size=(draws, m)) * 2 - 1
+    assert np.array_equal(got * 2 - 1, want)
+
+
+def test_mc_increment_memory_does_not_grow_with_draws_times_blocks():
+    # 100,000 draws on 235 blocks: one (draws, blocks) int64 sign matrix
+    # alone is 188 MB; the chunked sums peak near 3 MB
+    proc = RademacherProcess(greedy_generate(40, 3, 2, 1))
+    assert len(proc.system.blocks) >= 200
+    rng = stream(6, "memory-pair")
+    z, zp = ball_point(rng, 40), ball_point(rng, 40)
+    tracemalloc.start()
+    try:
+        rms, se = mc_increment_std(proc, z, zp, draws=100_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert abs(rms - l2_distance(proc, z, zp)) <= 4 * se
 
 
 def test_mc_increment_zero_pair():
@@ -193,3 +239,16 @@ def test_lipschitz_envelope_holds_on_sampled_pairs():
         assert lhs <= rhs + 1e-12
     for r in rep.psi2_l2_ratios:
         assert 0.4 <= r <= 4.0
+
+
+def test_lipschitz_check_counts_unstable_psi2_estimates(monkeypatch):
+    proc = RademacherProcess(fano_system())
+    none = lipschitz_check(proc, pairs=10, seed=2, mc_pairs=0)
+    assert none.psi2_l2_ratios == () and none.psi2_unstable == 0
+    assert lipschitz_check(proc, pairs=10, seed=2, mc_draws=2000).psi2_unstable == 0
+    psi2 = rademacher.psi2_norm_mc
+    monkeypatch.setattr(
+        rademacher, "psi2_norm_mc", lambda *args: replace(psi2(*args), unstable=True)
+    )
+    rep = lipschitz_check(proc, pairs=10, seed=2, mc_pairs=4, mc_draws=2000)
+    assert len(rep.psi2_l2_ratios) == rep.psi2_unstable == 4

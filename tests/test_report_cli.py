@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vnlab import rademacher
 from vnlab.bounds import scaling_sweep
 from vnlab.cli import (
     EXIT_CERTIFICATION,
@@ -253,6 +255,28 @@ def test_cli_rademacher_check_mc_check_flags(tmp_path, capsys):
     assert sum(r["kind"] == "l2_mc" for r in body["records"]) == 2
 
 
+def test_cli_rademacher_check_counts_unstable_psi2_estimates(tmp_path, capsys, monkeypatch):
+    # every estimate flagged unstable, at its true value: the count sits in
+    # the summary, not in the records, and it fails no check
+    psi2_norm_mc = rademacher.psi2_norm_mc
+    monkeypatch.setattr(
+        rademacher, "psi2_norm_mc", lambda *args: replace(psi2_norm_mc(*args), unstable=True)
+    )
+    sys_path = tmp_path / "sys.txt"
+    run_cli("steiner", "gen", "--n", "7", "--k", "3", "--t", "2", "--out", str(sys_path))
+    capsys.readouterr()
+    rc = run_cli(
+        "rademacher", "check", "--system", str(sys_path),
+        "--pairs", "5", "--mc-pairs", "2", "--mc-checks", "0",
+    )
+    body = json.loads(capsys.readouterr().out)
+    assert body["summary"]["psi2_unstable"] == 2
+    assert all("psi2_unstable" not in r for r in body["records"])
+    assert sum(r["kind"] == "psi2_l2_ratio" for r in body["records"]) == 2
+    assert not any(r["kind"] == "l2_mc" for r in body["records"])
+    assert rc == EXIT_OK
+
+
 def test_cli_rademacher_check_on_a_design_without_blocks(tmp_path, capsys):
     # a t = k - 1 design with no blocks: the process is identically zero,
     # every Lipschitz pair is skipped and each MC check reads z-score 0
@@ -398,9 +422,9 @@ def test_cli_exit_codes(tmp_path, capsys):
 SWEEP_ARGS = ("bounds", "sweep", "--kind", "C", "--q", "inf", "--k", "3", "--seeds", "1")
 
 
-# counts that leave nothing to run, a Monte Carlo check without a standard
-# error, or a finite exponent that overflows a float, exit 1 with an error
-# that names the count or the exponent
+# counts that leave nothing to run, a negative Monte Carlo count, a Monte
+# Carlo check without a standard error, or a finite exponent that overflows
+# a float, exit 1 with an error that names the count or the exponent
 @pytest.mark.parametrize("argv,name", [
     pytest.param(("norm", "--poly", "{poly}", "--restarts", "0"), "restarts", id="restarts-0"),
     pytest.param(("norm", "--poly", "{poly}", "--max-iter", "0"), "max_iter", id="max-iter-0"),
@@ -430,6 +454,16 @@ SWEEP_ARGS = ("bounds", "sweep", "--kind", "C", "--q", "inf", "--k", "3", "--see
     ),
     pytest.param(
         ("rademacher", "check", "--system", "{system}", "--pairs", "0"), "pairs", id="pairs-0"
+    ),
+    pytest.param(
+        ("rademacher", "check", "--system", "{system}", "--pairs", "5", "--mc-checks", "-2"),
+        "mc_checks",
+        id="mc-checks-negative",
+    ),
+    pytest.param(
+        ("rademacher", "check", "--system", "{system}", "--pairs", "5", "--mc-pairs", "-1"),
+        "mc_pairs",
+        id="mc-pairs-negative",
     ),
     pytest.param(("norm", "--poly", "{poly}", "--q", "1e400"), "exponent", id="q-1e400"),
 ])
