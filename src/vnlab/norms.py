@@ -209,46 +209,67 @@ def _ascend(p, params, qf, max_iter, tol):
     row then takes the step unless it still loses, and has converged if it
     loses or gains at most tol relative.  Each iteration steps, backtracks
     and differentiates only the live rows, the restarts that have not
-    converged; a converged row keeps its final params and value.  Every
-    operation, the kernels' too (see vnlab.kernels), treats each row on its
-    own, so the result equals that of stepping every row in every iteration.
+    converged, kept as compact copies that are re-indexed only when some
+    row stops; a converged row keeps its final params and value.  A row's
+    gradient is taken at the points and aux of the trial evaluation that it
+    accepted, so _points runs once per trial evaluation and once at each
+    end.  Every operation, the kernels' too (see vnlab.kernels), treats each
+    row on its own, so the result equals that of stepping every row in every
+    iteration and mapping its params afresh for each gradient.
     """
 
-    def value(params):
-        return np.abs(p.evaluate_batch(_points(params, qf)[0])) ** 2
-
-    def value_and_grad(params):
+    def mapped(params):
+        """The points of the rows and their aux arrays, as one tuple."""
         z, aux = _points(params, qf)
+        return (z,) if aux is None else (z, *aux)
+
+    def gradient(rows):
+        z, *aux = rows
         vals, grads = p.gradient_batch(z)
-        return np.abs(vals) ** 2, _pullback(2.0 * np.conj(vals)[:, None] * grads, z, aux, qf)
+        g = 2.0 * np.conj(vals)[:, None] * grads
+        return np.abs(vals) ** 2, _pullback(g, z, aux, qf)
 
     params = np.array(params, dtype=np.float64)
-    values, grads = value_and_grad(params)
-    eta = np.full(params.shape[0], 0.25)
+    values, grads = gradient(mapped(params))
     live = np.arange(params.shape[0])
+    # the live rows' params, values and step sizes, in the order of live
+    x, v, e = params.copy(), values.copy(), np.full(live.size, 0.25)
     iterations = 0
     while live.size and iterations < max_iter:
         iterations += 1
-        # grads holds the live rows only; x, v and e are copies of theirs
-        x, v, e = params[live], values[live], eta[live]
         trial = x + e[:, None] * grads
-        trial_values = value(trial)
+        rows = mapped(trial)
+        trial_values = np.abs(p.evaluate_batch(rows[0])) ** 2
         for _ in range(_BACKTRACK_LIMIT):
             worse = trial_values < v
             if not worse.any():
                 break
             e[worse] *= _STEP_SHRINK
             trial[worse] = x[worse] + e[worse, None] * grads[worse]
-            trial_values[worse] = value(trial[worse])
+            again = mapped(trial[worse])
+            trial_values[worse] = np.abs(p.evaluate_batch(again[0])) ** 2
+            for part, new in zip(rows, again):
+                part[worse] = new
         # a step that still loses has a negative gain, so it stops the row too
         done = trial_values - v <= tol * v
         up = trial_values >= v
-        x[up], v[up] = trial[up], trial_values[up]
-        e[up] = np.minimum(e[up] * _STEP_GROW, 1e3)
-        params[live], values[live], eta[live] = x, v, e
-        live = live[~done]
+        if up.all():
+            x, v, e = trial, trial_values, np.minimum(e * _STEP_GROW, 1e3)
+        else:
+            x[up], v[up] = trial[up], trial_values[up]
+            e[up] = np.minimum(e[up] * _STEP_GROW, 1e3)
+        if done.any():
+            params[live[done]], values[live[done]] = x[done], v[done]
+            keep = ~done
+            live, x, v, e, up = live[keep], x[keep], v[keep], e[keep], up[keep]
+            rows = tuple(part[keep] for part in rows)
         if live.size:
-            values[live], grads = value_and_grad(params[live])
+            if not up.all():
+                # a NaN trial is neither taken nor done: its row stays at x
+                for part, new in zip(rows, mapped(x[~up])):
+                    part[~up] = new
+            v, grads = gradient(rows)
+    params[live], values[live] = x, v
     converged = np.ones(params.shape[0], dtype=bool)
     converged[live] = False
     return _points(params, qf)[0], values, iterations, converged

@@ -60,6 +60,10 @@ class HomogeneousPolynomial:
     def _coef(self) -> np.ndarray:
         return np.array(list(self.coeffs.values()), dtype=np.complex128)
 
+    @cached_property
+    def _index(self) -> kernels.TermIndex:
+        return kernels.TermIndex(self._idx0, self.n)
+
     @property
     def term_count(self) -> int:
         return len(self.coeffs)
@@ -77,19 +81,19 @@ class HomogeneousPolynomial:
         z = np.asarray(z, dtype=np.complex128)
         if z.shape != (self.n,):
             raise ValueError(f"point has shape {z.shape}, expected ({self.n},)")
-        return complex(kernels.poly_eval_batch(self._coef, self._idx0, z[None, :])[0])
+        return complex(self.evaluate_batch(z[None, :])[0])
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=np.complex128)
         if points.ndim != 2 or points.shape[1] != self.n:
             raise ValueError(f"points have shape {points.shape}, expected (B, {self.n})")
-        return kernels.poly_eval_batch(self._coef, self._idx0, points)
+        return kernels.poly_eval_batch(self._coef, self._idx0, points, index=self._index)
 
     def gradient_batch(self, points: np.ndarray):
         points = np.asarray(points, dtype=np.complex128)
         if points.ndim != 2 or points.shape[1] != self.n:
             raise ValueError(f"points have shape {points.shape}, expected (B, {self.n})")
-        return kernels.poly_eval_grad_batch(self._coef, self._idx0, points)
+        return kernels.poly_eval_grad_batch(self._coef, self._idx0, points, index=self._index)
 
     def to_json(self) -> str:
         terms = [

@@ -1,12 +1,16 @@
 """The NumPy evaluation kernels against independent oracles."""
 
+import gc
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vnlab import kernels
-from vnlab.polynomials import random_steiner_polynomial
+from vnlab.polynomials import HomogeneousPolynomial, random_steiner_polynomial
 from vnlab.steiner import greedy_generate
 
 
@@ -191,3 +195,76 @@ def test_kernels_are_row_independent(k, n):
             assert np.array_equal(kernels.poly_eval_batch(coef, idx, points), want[rows])
             assert np.array_equal(vals, want_vals[rows])
             assert np.array_equal(grads, want_grads[rows])
+
+
+def test_kernel_index_belongs_to_its_polynomial():
+    # pairs of polynomials of one shape (n, m, k) with different supports,
+    # evaluated in turn while the batch grows and shrinks.  A polynomial is
+    # collected before its successor is built, whose arrays can then take
+    # over its memory (the points are drawn beforehand, so that nothing else
+    # takes it first); no polynomial may see another's indices
+    n, m, k = 9, 12, 3
+    rng = np.random.default_rng(5)
+    batches = [rng.normal(size=(nb, n)) + 1j * rng.normal(size=(nb, n)) for nb in (3, 8, 1, 5, 2)]
+
+    def polynomial():
+        keys = set()
+        while len(keys) < m:
+            keys.add(tuple(np.sort(rng.choice(n, size=k, replace=False)) + 1))
+        coeffs = {key: complex(*rng.normal(size=2)) for key in keys}
+        return HomogeneousPolynomial(n, k, coeffs)
+
+    pair = [polynomial()]
+    for drop in (1, 2, 1, 2, 1, 2):
+        # collect the last polynomial built, or both, and build their successors
+        del pair[2 - drop :]
+        gc.collect()
+        pair += [polynomial() for _ in range(drop)]
+        assert pair[0].support() != pair[1].support()
+        for Z in batches:
+            for p in pair:
+                vals, grads = p.gradient_batch(Z)
+                want_vals, want_grads = naive_eval_grad(p._coef, p._idx0, Z)
+                mag_vals, mag_grads = magnitudes(p._coef, p._idx0, Z)
+                assert np.all(np.abs(vals - want_vals) <= 1e-13 * mag_vals)
+                assert np.all(np.abs(grads - want_grads) <= 1e-13 * mag_grads)
+                assert np.array_equal(p.evaluate_batch(Z), vals)
+        del p
+
+
+def test_kernel_index_can_be_shared_between_threads():
+    # threads that evaluate one polynomial at growing batch sizes build and
+    # grow its indices concurrently; each must get its rows' bits.  Every
+    # round starts from a fresh copy, whose indices are not built yet
+    p = random_steiner_polynomial(greedy_generate(13, 3, 2, 13), rng=np.random.default_rng(13))
+    rng = np.random.default_rng(3)
+    Z = rng.normal(size=(32, 13)) + 1j * rng.normal(size=(32, 13))
+    want_vals, want_grads = kernels.poly_eval_grad_batch(p._coef, p._idx0, Z)
+    failures = []
+
+    def work(shared, start):
+        try:
+            start.wait(timeout=60)
+            for nb in range(1, 33):
+                vals, grads = shared.gradient_batch(Z[:nb])
+                if not np.array_equal(vals, want_vals[:nb]):
+                    failures.append(nb)
+                if not np.array_equal(grads, want_grads[:nb]):
+                    failures.append(nb)
+        except Exception as exc:  # reported by the assertion below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            shared, start = HomogeneousPolynomial(p.n, p.k, p.coeffs), threading.Barrier(4)
+            threads = [threading.Thread(target=work, args=(shared, start)) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []

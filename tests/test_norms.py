@@ -23,6 +23,8 @@ from vnlab.rademacher import RademacherProcess
 from vnlab.steiner import fano_system, greedy_generate
 from vnlab.util import Exponent, stream
 
+from test_kernels import shifted_copy
+
 
 def pairs_poly(r):
     terms = {(2 * i + 1, 2 * i + 2): 1.0 for i in range(r)}
@@ -847,9 +849,9 @@ def run_with_loop(monkeypatch, loops, estimator, *args, **kwargs):
     rows, runs = [0], []
     kernel = kernels.poly_eval_grad_batch
 
-    def counted(coef, idx, points):
+    def counted(coef, idx, points, **kwargs):
         rows[0] += points.shape[0]
-        return kernel(coef, idx, points)
+        return kernel(coef, idx, points, **kwargs)
 
     def recorded(loop):
         def run(*loop_args):
@@ -896,6 +898,75 @@ def test_live_row_ascent_equals_full_batch_loop(monkeypatch, k, n, q):
             assert got_rows < want_rows
         else:
             assert got_rows == want_rows
+
+
+def test_ascent_maps_each_trial_once_and_never_for_a_gradient(monkeypatch):
+    # a row's gradient is taken at the points of the trial evaluation that it
+    # accepted: _points maps the start rows, each trial evaluation (every
+    # halving included) and the final rows, and the gradient kernel sees the
+    # live rows of every iteration, as when each gradient mapped them afresh
+    k, n = 3, 13
+    p = random_steiner_polynomial(
+        greedy_generate(n, k, k - 1, n + k), rng=np.random.default_rng(n * k)
+    )
+    q = Exponent.parse("3")
+    qf = q.as_float()
+    calls = dict.fromkeys(["points", "evals", "grads", "grad_rows"], 0)
+
+    def counted(name, fn):
+        def run(*args, **kwargs):
+            calls[name] += 1
+            if name == "grads":
+                calls["grad_rows"] += args[2].shape[0]
+            return fn(*args, **kwargs)
+
+        return run
+
+    monkeypatch.setattr(norms, "_points", counted("points", norms._points))
+    monkeypatch.setattr(kernels, "poly_eval_batch", counted("evals", kernels.poly_eval_batch))
+    monkeypatch.setattr(
+        kernels, "poly_eval_grad_batch", counted("grads", kernels.poly_eval_grad_batch)
+    )
+    params = norms._start_rows(n, qf, 12, k, ())
+    form = norms._in_sup_units(p, q)
+    _, _, iterations, converged = norms._ascend(form, params, qf, 400, norms._ASCENT_TOL)
+    assert (iterations, converged.sum()) == (400, 11)
+    assert calls["points"] == calls["evals"] + 2
+    assert (calls["grads"], calls["grad_rows"]) == (401, 1368)
+
+
+@pytest.mark.parametrize("q", ["inf", "3/2", "2", "3", "101/100", "400"])
+def test_points_and_pullback_are_row_independent(q):
+    # _ascend differentiates a row at the points and aux arrays of the trial
+    # evaluation that it accepted, whichever rows shared that evaluation's
+    # batch, and pulls the gradient back on the compacted live rows
+    qf = Exponent.parse(q).as_float()
+    n, nb = 25, 32
+    rng = np.random.default_rng(31)
+    params = 1.7 * rng.normal(size=(nb, n if qf == math.inf else 2 * n))
+    g = rng.normal(size=(nb, n)) + 1j * rng.normal(size=(nb, n))
+
+    def mapped(params, g):
+        z, aux = norms._points(params, qf)
+        return [z, *(aux or ())], norms._pullback(g, z, aux, qf)
+
+    want, want_pull = mapped(params, g)
+    subsets = [np.array([b]) for b in range(nb)]
+    subsets += [np.arange(lo, lo + 16) for lo in (0, 5, 16)]
+    subsets += [np.sort(rng.choice(nb, size=size, replace=False)) for size in (2, 16, 16, 31)]
+    subsets += [np.arange(nb)]
+    for rows in subsets:
+        copies = [(params[rows], g[rows])]
+        copies += [(shifted_copy(params[rows], s), shifted_copy(g[rows], s)) for s in (8, 24)]
+        for batch, grad in copies:
+            parts, pull = mapped(batch, grad)
+            assert len(parts) == len(want)
+            for got, full in zip(parts, want):
+                assert np.array_equal(got, full[rows])
+            assert np.array_equal(pull, want_pull[rows])
+        # the pullback of rows taken out of the full batch's points and aux
+        z, *aux = [part[rows] for part in want]
+        assert np.array_equal(norms._pullback(g[rows], z, aux or None, qf), want_pull[rows])
 
 
 class LosingEveryStep:
