@@ -21,6 +21,8 @@ tuples.  Which of the two conditions D_k(n) needs is not settled here.
 from __future__ import annotations
 
 import math
+import os
+import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -259,6 +261,8 @@ class SweepResult:
     fit: ScalingFit
     inversions: int
     warnings: tuple
+    workers: int
+    cells: tuple  # (n, index, seconds) per grid cell, in grid order
 
     def to_records(self) -> list:
         return [r.to_record() for r in self.records]
@@ -275,11 +279,60 @@ class SweepResult:
             "residual_rms": self.fit.residual_rms,
             "inversions": self.inversions,
             "warnings": list(self.warnings),
+            "workers": self.workers,
+            "cells": [{"n": n, "index": i, "seconds": s} for n, i, s in self.cells],
         }
 
 
 def _cell_seed(root_seed: int, n: int, index: int) -> int:
     return int(np.random.SeedSequence([int(root_seed), int(n), int(index)]).generate_state(1)[0])
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 where the platform cannot say."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+def _run_cell(kind: str, k: int, q: Exponent, norm: dict, n: int, index: int, cell_seed: int):
+    """One sweep cell: (its record, or a warning for an Exception; its seconds)."""
+    t0 = time.perf_counter()
+    try:
+        # module globals, so a tracer or a test can replace the pipelines; a
+        # forked worker inherits the replacement
+        if kind == "D":
+            out = lower_bound_D(k, n, cell_seed, **norm)
+        else:
+            out = lower_bound_C(k, q, n, cell_seed, **norm)
+    except Exception as exc:
+        out = f"cell n={n} index={index} excluded: {type(exc).__name__}: {exc}"
+    return out, time.perf_counter() - t0
+
+
+def _run_cells(args: tuple, cells: list):
+    """_run_cell(*args, *cell) for each cell, in grid order; and the worker count.
+
+    Several usable CPUs fork one worker each, up to one per cell; the
+    largest n goes out first, so the longest cells do not finish last.
+    """
+    workers = min(len(cells), _usable_cpus())
+    if workers <= 1:
+        return [_run_cell(*args, *cell) for cell in cells], 1
+    # imported here: a serial run does not pay for them
+    import concurrent.futures
+    import multiprocessing
+
+    # fork, not spawn or forkserver, which would import NumPy and vnlab
+    # again in every worker of every sweep
+    pool = concurrent.futures.ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork")
+    )
+    try:
+        order = sorted(range(len(cells)), key=lambda j: -cells[j][0])
+        futures = {j: pool.submit(_run_cell, *args, *cells[j]) for j in order}
+        return [futures[j].result() for j in range(len(cells))], workers
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def scaling_sweep(
@@ -300,10 +353,19 @@ def scaling_sweep(
     column whose combination condition is certified) and to the
     estimate-denominator bound for C (no nontrivial certified upper exists
     at q = inf, so the certified column is flat by construction there).
-    A cell that raises, for instance because a hard certificate fails, is
-    excluded and reported in warnings with its exception type; the per-n
-    median uses the surviving cells.  norm_restarts and norm_max_iter go to
-    the norm ascent of every cell.
+    A cell that raises an Exception, for instance because a hard
+    certificate fails, is excluded and reported in warnings with its
+    exception type; the per-n median uses the surviving cells.
+    norm_restarts and norm_max_iter go to the norm ascent of every cell.
+
+    The cells run in forked worker processes, one per CPU in the affinity
+    set and at most one per cell; with one CPU, one cell or no affinity
+    set (macOS, Windows) they run in this process.  A worker inherits the
+    module's bindings at the fork, so a tracer's or a test's replacement
+    of lower_bound_C or lower_bound_D runs there too.  The results are read
+    back in grid order, so records, medians and warnings do not depend on
+    the worker count.  A worker that dies (os._exit, a signal) raises
+    concurrent.futures.process.BrokenProcessPool.
     """
     kind = kind.upper()
     if kind not in ("C", "D"):
@@ -328,19 +390,10 @@ def scaling_sweep(
         raise ValueError(f"need n >= k >= 3 on the whole grid, got k={k} n={n_values}")
 
     norm = {"norm_restarts": norm_restarts, "norm_max_iter": norm_max_iter}
-    records = []
-    warnings_list = []
-    for n in n_values:
-        for i in range(seeds_per_n):
-            cell_seed = _cell_seed(seed, n, i)
-            try:
-                # module globals, so a tracer or a test can replace the pipelines
-                if kind == "D":
-                    records.append(lower_bound_D(k, n, cell_seed, **norm))
-                else:
-                    records.append(lower_bound_C(k, q, n, cell_seed, **norm))
-            except Exception as exc:
-                warnings_list.append(f"cell n={n} index={i} excluded: {type(exc).__name__}: {exc}")
+    cells = [(n, i, _cell_seed(seed, n, i)) for n in n_values for i in range(seeds_per_n)]
+    results, workers = _run_cells((kind, k, q, norm), cells)
+    records = [out for out, _ in results if not isinstance(out, str)]
+    warnings_list = [out for out, _ in results if isinstance(out, str)]
 
     medians = []
     for n in n_values:
@@ -369,5 +422,7 @@ def scaling_sweep(
         fit=fit,
         inversions=monotone_inversions(v for _, v in medians),
         warnings=tuple(warnings_list),
+        workers=workers,
+        cells=tuple((n, i, seconds) for (n, i, _), (_, seconds) in zip(cells, results)),
     )
 

@@ -5,10 +5,11 @@ dixon verify | rademacher check | bounds sweep.  Global flags:
 --seed (always explicit, default 0), --out, --format, --config.
 A JSON config file supplies values keyed by option name in underscore
 form (--max-iter is max_iter), and CLI flags override file values.  A key
-that is not an option of the command exits 1, except the retired key
-threads, which is ignored.  A report's input_hash covers the config without
-its file paths and the texts of the files the command read, so the same
-input at two paths hashes the same.
+that is not an option of the command, or a value that is not an integer
+for an integer option, exits 1.  The retired key threads is ignored: a
+sweep runs one worker process per CPU in its affinity set.  A report's
+input_hash covers the config without its file paths and the texts of the
+files the command read, so the same input at two paths hashes the same.
 
 Exit codes: 0 success, 1 invalid configuration, 2 validation or
 certification failure, 3 I/O error.
@@ -34,7 +35,8 @@ EXIT_CERTIFICATION = 2
 EXIT_IO = 3
 
 # config key of a removed option, accepted and ignored: the sweep configs of
-# perfbench/workloads.py still send it
+# perfbench/workloads.py still send it, and a sweep takes its worker count
+# from the CPU affinity set (taskset -c 0 runs it in one process)
 _RETIRED_KEYS = frozenset({"threads"})
 
 # options that name an input file; the file's text is hashed instead of its path
@@ -341,6 +343,11 @@ def execute(config: dict):
         raise ConfigError(f"unknown config key(s) for {command}: {', '.join(unknown)}")
     merged = dict(defaults)
     merged.update({k: v for k, v in config.items() if v is not None})
+    for key in ("seed", *(name for name, spec in options.items() if spec is int)):
+        value = merged.get(key)
+        # bool is an int subclass, but a config file's true is not a count
+        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ConfigError(f"option {key} must be an integer, got {value!r}")
     t0 = time.perf_counter()
     rep, artifact, failed = handler(merged)
     rep.timing_seconds = time.perf_counter() - t0

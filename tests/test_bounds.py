@@ -226,11 +226,106 @@ def test_sweep_small_grid_structure():
     assert summary["kind"] == "D" and len(summary["medians"]) == 2
 
 
-def test_sweep_is_deterministic():
-    a = scaling_sweep("C", 3, "inf", [7, 9], 2, seed=7)
-    b = scaling_sweep("C", 3, "inf", [7, 9], 2, seed=7)
-    assert a.to_records() == b.to_records()
-    assert a.fit.slope == b.fit.slope
+def _sweep_outcome(res):
+    return res.to_records(), res.medians, res.fit, res.inversions, res.warnings
+
+
+def test_sweep_is_deterministic(monkeypatch):
+    # every worker count, the in-process path at 1 CPU included, gives the
+    # serial loop's records, medians, fit, inversions and warnings; a cell
+    # that raises keeps its warning's text and place
+    import vnlab.bounds as bounds_mod
+
+    real = bounds_mod.lower_bound_C
+    failing_seed = _cell_seed(7, 9, 1)
+
+    def flaky(k, q, n, seed, **kw):
+        if n == 9 and seed == failing_seed:
+            raise RuntimeError("injected failure")
+        return real(k, q, n, seed, **kw)
+
+    def sweeps(cpus):
+        monkeypatch.setattr(bounds_mod, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(bounds_mod, "lower_bound_C", real)
+        out = [
+            scaling_sweep("C", 3, "inf", [7, 9], 2, seed=7),
+            scaling_sweep("D", 3, 2, [7, 9, 11], 1, seed=7, norm_restarts=4),
+        ]
+        monkeypatch.setattr(bounds_mod, "lower_bound_C", flaky)
+        out.append(scaling_sweep("C", 3, "3/2", [7, 9, 11], 2, seed=7, norm_restarts=4))
+        return out
+
+    serial = sweeps(1)
+    assert [r.n for r in serial[2].records] == [7, 7, 9, 11, 11]
+    assert serial[2].warnings == ("cell n=9 index=1 excluded: RuntimeError: injected failure",)
+    assert [(n, i) for n, i, _ in serial[2].cells] == [(n, i) for n in (7, 9, 11) for i in (0, 1)]
+    for cpus in (1, 2, 3):
+        for want, got in zip(serial, sweeps(cpus)):
+            assert _sweep_outcome(got) == _sweep_outcome(want), cpus
+            cells = got.summary()["cells"]
+            assert [(c["n"], c["index"]) for c in cells] == [(n, i) for n, i, _ in want.cells]
+            assert all(c["seconds"] > 0 for c in cells)
+            assert got.summary()["workers"] == min(cpus, len(cells))
+
+
+def test_sweep_runs_in_process_with_one_cpu_or_one_cell(monkeypatch):
+    # no affinity set (macOS, Windows) counts as one CPU; one cell needs no pool
+    import concurrent.futures
+    import os
+
+    import vnlab.bounds as bounds_mod
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was built")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert bounds_mod._usable_cpus() == 1
+    norm = {"norm_restarts": 2, "norm_max_iter": 20}
+    res = scaling_sweep("C", 3, "inf", [7, 9], 1, seed=7, **norm)
+    assert res.workers == 1 and len(res.records) == 2
+    monkeypatch.setattr(bounds_mod, "_usable_cpus", lambda: 4)
+    res = scaling_sweep("C", 3, "inf", [7], 1, seed=7, **norm)
+    assert res.workers == 1 and len(res.records) == 1
+
+
+def test_sweep_raises_when_a_worker_dies():
+    # a cell that kills its worker must fail the sweep at once, not leave it
+    # waiting for a result that never comes; the subprocess's timeout fails
+    # the test if it hangs
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import vnlab
+
+    script = """
+import os, sys
+from concurrent.futures.process import BrokenProcessPool
+import vnlab.bounds as bounds
+
+real = bounds.lower_bound_C
+
+def dying(k, q, n, seed, **kw):
+    if n == 9:
+        os._exit(3)
+    return real(k, q, n, seed, **kw)
+
+bounds.lower_bound_C = dying
+bounds._usable_cpus = lambda: 2
+try:
+    bounds.scaling_sweep("C", 3, "inf", [7, 9, 11], 1, norm_restarts=2, norm_max_iter=20)
+except BrokenProcessPool:
+    sys.exit(0)
+sys.exit("the sweep returned")
+"""
+    src = str(Path(vnlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_sweep_validates_inputs():

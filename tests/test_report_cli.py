@@ -494,6 +494,51 @@ def test_execute_rejects_unknown_config_key(tmp_path, capsys):
     assert "norm_restart" in capsys.readouterr().err
 
 
+# a config file's value for an int option must be an int (a bool is not one):
+# anything else exits 1 naming the option, before the command runs
+@pytest.mark.parametrize("command,cfg,key", [
+    pytest.param("steiner.gen", {"n": "7", "k": 3, "t": 2}, "n", id="steiner-gen-n-str"),
+    pytest.param("norm", {"poly": "{poly}", "restarts": 2.5}, "restarts", id="norm-restarts-float"),
+    pytest.param(
+        "rademacher.check", {"system": "{system}", "pairs": "10"}, "pairs",
+        id="rademacher-check-pairs-str",
+    ),
+    pytest.param(
+        "bounds.sweep", {"kind": "C", "q": "inf", "k": 3, "n_list": "7", "seeds": "2"}, "seeds",
+        id="bounds-sweep-seeds-str",
+    ),
+    pytest.param(
+        "bounds.sweep", {"kind": "C", "q": "inf", "k": "3", "n_list": "7", "seeds": 1}, "k",
+        id="bounds-sweep-k-str",
+    ),
+    pytest.param(
+        "bounds.sweep",
+        {"kind": "C", "q": "inf", "k": 3, "n_list": "7", "seeds": 1, "norm_restarts": 2.5},
+        "norm_restarts",
+        id="bounds-sweep-norm-restarts-float",
+    ),
+    pytest.param(
+        "bounds.sweep", {"kind": "C", "q": "inf", "k": True, "n_list": "7", "seeds": 1}, "k",
+        id="bounds-sweep-k-bool",
+    ),
+])
+def test_cli_rejects_mistyped_integers_in_a_config_file(command, cfg, key, tmp_path, capsys):
+    paths = {"system": tmp_path / "sys.txt", "poly": tmp_path / "p.json"}
+    run_cli("steiner", "gen", "--n", "7", "--k", "3", "--t", "2", "--out", str(paths["system"]))
+    run_cli("poly", "rand", "--system", str(paths["system"]), "--out", str(paths["poly"]))
+    capsys.readouterr()
+    cfg = {name: str(value).format(**paths) if isinstance(value, str) else value
+           for name, value in cfg.items()}
+    with pytest.raises(ConfigError, match=key):
+        execute({"command": command, **cfg})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"version": 1, **cfg}))
+    assert run_cli(*command.split("."), "--config", str(path)) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert f"option {key} must be an integer" in err
+    assert out == ""
+
+
 # the keys of deleted options are unknown keys like any other
 @pytest.mark.parametrize("command,key", [
     pytest.param("bounds.sweep", "row_trials", id="row_trials"),
