@@ -285,7 +285,9 @@ class SweepResult:
 
 
 def _cell_seed(root_seed: int, n: int, index: int) -> int:
-    return int(np.random.SeedSequence([int(root_seed), int(n), int(index)]).generate_state(1)[0])
+    # the root modulo 2^64, as util.stream reads it, so a negative seed runs
+    root = int(root_seed) & 0xFFFFFFFFFFFFFFFF
+    return int(np.random.SeedSequence([root, int(n), int(index)]).generate_state(1)[0])
 
 
 def _usable_cpus() -> int:
@@ -343,16 +345,17 @@ def scaling_sweep(
     seeds_per_n: int,
     *,
     seed: int = 0,
-    fit_column: str | None = None,
     norm_restarts: int = 16,
     norm_max_iter: int = 800,
 ) -> SweepResult:
     """Run a pipeline over a grid of n with several seeds per n and fit growth.
 
-    The fitted column defaults to bound for D (fit bound_certified for the
-    column whose combination condition is certified) and to the
-    estimate-denominator bound for C (no nontrivial certified upper exists
-    at q = inf, so the certified column is flat by construction there).
+    The fitted column follows from the kind: bound for D and the
+    estimate-denominator bound_estimate for C (no nontrivial certified
+    upper exists at q = inf, so the certified column is flat by
+    construction there); the records carry every column, bound_certified
+    included.  Each n of the grid appears once, and seeds_per_n sets its
+    cells.  A negative seed is read modulo 2^64, as util.stream reads it.
     A cell that raises an Exception, for instance because a hard
     certificate fails, is excluded and reported in warnings with its
     exception type; the per-n median uses the surviving cells.
@@ -373,13 +376,13 @@ def scaling_sweep(
     q = Exponent.parse(q)
     if kind == "D" and not (not q.is_inf and q.fraction == 2):
         raise ValueError("the D pipeline is anchored at q = 2")
-    if fit_column is None:
-        fit_column = "bound" if kind == "D" else "bound_estimate"
-    if fit_column not in BoundRecord.__dataclass_fields__:
-        raise ValueError(f"unknown fit column {fit_column!r}")
+    fit_column = "bound" if kind == "D" else "bound_estimate"
     n_values = [int(n) for n in n_values]
     if not n_values:
         raise ValueError("n_values is empty: the grid has no n to run")
+    repeated = sorted({n for n in n_values if n_values.count(n) > 1})
+    if repeated:
+        raise ValueError(f"n_values repeats n = {repeated}: seeds_per_n sets the cells per n")
     if seeds_per_n < 1:
         raise ValueError("seeds_per_n must be >= 1")
     if norm_restarts < 1:

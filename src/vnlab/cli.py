@@ -7,9 +7,11 @@ A JSON config file supplies values keyed by option name in underscore
 form (--max-iter is max_iter), and CLI flags override file values.  A key
 that is not an option of the command, or a value that is not an integer
 for an integer option, exits 1.  The retired key threads is ignored: a
-sweep runs one worker process per CPU in its affinity set.  A report's
-input_hash covers the config without its file paths and the texts of the
-files the command read, so the same input at two paths hashes the same.
+sweep runs one worker process per CPU in its affinity set.  A sweep's grid
+is --n-list, or --n-min to --n-max in unit steps, and it fits the column
+that its kind implies (scaling_sweep).  A report's input_hash covers the
+config without its file paths and the texts of the files the command read,
+so the same input at two paths hashes the same.
 
 Exit codes: 0 success, 1 invalid configuration, 2 validation or
 certification failure, 3 I/O error.
@@ -57,15 +59,6 @@ def _require(cfg: dict, *keys):
             raise ConfigError(f"missing required option: {key}")
 
 
-def _positive_int(cfg: dict, *keys):
-    for key in keys:
-        if cfg.get(key) is None:
-            continue
-        value = cfg[key]
-        if not isinstance(value, int) or value < 1:
-            raise ConfigError(f"option {key} must be a positive integer, got {value!r}")
-
-
 def _report(cfg, records, *inputs, **extra) -> ExperimentReport:
     """The command's report; its input hash covers cfg less its paths, and the input texts."""
     hashed = {k: v for k, v in cfg.items() if k not in _PATH_KEYS}
@@ -80,7 +73,6 @@ def _report(cfg, records, *inputs, **extra) -> ExperimentReport:
 
 def _handle_steiner_gen(cfg):
     _require(cfg, "n", "k", "t")
-    _positive_int(cfg, "n", "k", "t")
     system = steiner.greedy_generate(cfg["n"], cfg["k"], cfg["t"], cfg["seed"])
     result = steiner.validate(system)
     record = {
@@ -191,13 +183,7 @@ def _handle_rademacher_check(cfg):
     text = _read_text(cfg["system"])
     system = steiner.loads_system(text)
     proc = rademacher.RademacherProcess(system)
-    lip = rademacher.lipschitz_check(
-        proc,
-        cfg["pairs"],
-        cfg["seed"],
-        mc_pairs=cfg["mc_pairs"],
-        mc_draws=cfg["mc_draws"],
-    )
+    lip = rademacher.lipschitz_check(proc, cfg["pairs"], cfg["seed"], mc_draws=cfg["mc_draws"])
     records = [
         _check("lipschitz", lhs, rhs, ratio, lhs <= rhs + rademacher.LIPSCHITZ_TOL)
         for lhs, rhs, ratio in lip.rows
@@ -226,13 +212,14 @@ def _handle_rademacher_check(cfg):
 
 
 def _handle_bounds_sweep(cfg):
-    if cfg.get("n_list"):
-        n_values = [int(x) for x in str(cfg["n_list"]).replace(",", " ").split()]
+    n_list = cfg.get("n_list")
+    if n_list is not None and not isinstance(n_list, str):
+        raise ConfigError(f"option n_list must be a string such as '7,9', got {n_list!r}")
+    if n_list:
+        n_values = [int(x) for x in n_list.replace(",", " ").split()]
     else:
         _require(cfg, "n_min", "n_max")
-        _positive_int(cfg, "n_step")
-        step = cfg.get("n_step") or 1
-        n_values = list(range(cfg["n_min"], cfg["n_max"] + 1, step))
+        n_values = list(range(cfg["n_min"], cfg["n_max"] + 1))
     _require(cfg, "k")
     result = bounds.scaling_sweep(
         str(cfg["kind"]),
@@ -241,7 +228,6 @@ def _handle_bounds_sweep(cfg):
         n_values,
         cfg["seeds"],
         seed=cfg["seed"],
-        fit_column=cfg["fit_column"],
         norm_restarts=cfg["norm_restarts"],
         norm_max_iter=cfg["norm_max_iter"],
     )
@@ -280,14 +266,13 @@ _COMMANDS = {
         {
             "system": str,
             "pairs": int,
-            "mc_pairs": int,
             "mc_draws": int,
             "mc_checks": int,
             "mc_check_draws": int,
         },
         {
             "pairs": 200,
-            **_signature_defaults(rademacher.lipschitz_check, "mc_pairs", "mc_draws"),
+            **_signature_defaults(rademacher.lipschitz_check, "mc_draws"),
             "mc_checks": 3,
             "mc_check_draws": 100000,
             "seed": 0,
@@ -301,20 +286,16 @@ _COMMANDS = {
             "q": str,
             "n_min": int,
             "n_max": int,
-            "n_step": int,
             "n_list": str,
             "seeds": int,
             "norm_restarts": int,
             "norm_max_iter": int,
-            "fit_column": str,
         },
         {
             "kind": "D",
             "q": "2",
             "seeds": 5,
-            **_signature_defaults(
-                bounds.scaling_sweep, "seed", "norm_restarts", "norm_max_iter", "fit_column"
-            ),
+            **_signature_defaults(bounds.scaling_sweep, "seed", "norm_restarts", "norm_max_iter"),
         },
     ),
 }

@@ -27,9 +27,11 @@ RADEMACHER_PSI2 = 1.0 / math.sqrt(math.log(2.0))
 # absolute slack for d(z, z') <= ||z - z'||_inf in lipschitz_check
 LIPSCHITZ_TOL = 1e-12
 
-# two-sided sub-Gaussian corridor for an empirical psi_2 / L2 ratio, and the
+# two-sided sub-Gaussian corridor for an empirical psi_2 / L2 ratio, the
+# number of leading pairs of lipschitz_check that estimate that ratio, and the
 # largest z-score of a Monte Carlo L2 increment against its closed form
 PSI2_CORRIDOR = (0.4, 4.0)
+PSI2_PAIRS = 3
 MAX_ZSCORE = 3.0
 
 # entries per chunk of random signs in _sign_sums: about 1.5 MB of int64 and
@@ -223,7 +225,6 @@ def lipschitz_check(
     pairs: int,
     seed: int,
     *,
-    mc_pairs: int = 3,
     mc_draws: int = 20000,
 ) -> LipschitzReport:
     """Sampled check of d(z, z') <= ||z - z'||_inf on ball pairs (at least 1).
@@ -231,13 +232,12 @@ def lipschitz_check(
     The Lipschitz constant is 1 for a design with blocks and 0 for an empty
     one, whose pairs are all skipped; a violation is an excess over
     LIPSCHITZ_TOL.  Also reports the empirical psi_2 / L2 ratio of the
-    increment on the first mc_pairs pairs (0 for none), which should sit
-    inside PSI2_CORRIDOR, and how many of those estimates were unstable.
+    increment on the first PSI2_PAIRS pairs, each from mc_draws sign draws,
+    which should sit inside PSI2_CORRIDOR, and how many of those estimates
+    were unstable.
     """
     if pairs < 1:
         raise ValueError(f"pairs must be >= 1, got {pairs}")
-    if mc_pairs < 0:
-        raise ValueError(f"mc_pairs must be >= 0, got {mc_pairs}")
     lip = 1.0 if proc.system.blocks else 0.0
     rows = []
     violations = 0
@@ -257,7 +257,7 @@ def lipschitz_check(
         max_ratio = max(max_ratio, ratio)
         if lhs > rhs + LIPSCHITZ_TOL:
             violations += 1
-        if i < mc_pairs and lhs > 0.0:
+        if i < PSI2_PAIRS and lhs > 0.0:
             w = increment / proc.k
             est = psi2_norm_mc(
                 lambda rng, size: _sign_sums(rng, w, size), mc_draws, seed + 7919 * i

@@ -335,8 +335,19 @@ def test_sweep_validates_inputs():
         scaling_sweep("D", 3, 4, [7], 1)  # D pipeline is anchored at q = 2
     with pytest.raises(ValueError):
         scaling_sweep("D", 3, 2, [7], 0)
-    with pytest.raises(ValueError):
-        scaling_sweep("D", 3, 2, [7, 9], 1, fit_column="no_such_column")
+    # a repeated n would run its cells twice, with the same cell seeds
+    with pytest.raises(ValueError, match=r"n_values repeats n = \[7\]"):
+        scaling_sweep("C", 3, "inf", [7, 7, 9], 1)
+
+
+def test_sweep_reads_a_negative_seed_modulo_2_to_the_64():
+    norm = {"norm_restarts": 2, "norm_max_iter": 20}
+    records = [
+        scaling_sweep("C", 3, "inf", [7], 1, seed=seed, **norm).to_records()
+        for seed in (-1, 2**64 - 1)
+    ]
+    assert records[0] == records[1]
+    assert _cell_seed(-1, 7, 0) == _cell_seed(2**64 - 1, 7, 0)
 
 
 def test_sweep_turns_a_crashing_cell_into_a_warning(monkeypatch):
@@ -395,10 +406,17 @@ def test_bound_record_roundtrip_keys():
 
 
 def test_sweep_of_certified_column_grows():
-    res = scaling_sweep("D", 3, 2, [7, 13, 19, 25], 2, fit_column="bound_certified")
+    grid = [7, 13, 19, 25]
+    res = scaling_sweep("D", 3, 2, grid, 2)
     assert res.warnings == ()
-    assert res.inversions == 0, res.medians
-    assert 0.8 <= res.fit.slope <= 1.4, res.fit.slope
+    records = res.to_records()
+    medians = [
+        (n, float(np.median([r["bound_certified"] for r in records if r["n"] == n])))
+        for n in grid
+    ]
+    assert monotone_inversions(v for _, v in medians) == 0, medians
+    slope = fit_power_law(medians).slope
+    assert 0.8 <= slope <= 1.4, slope
 
 
 def test_flattening_runs_at_most_once_per_cell(monkeypatch):

@@ -243,12 +243,11 @@ def test_lipschitz_envelope_holds_on_sampled_pairs():
 
 def test_lipschitz_check_counts_unstable_psi2_estimates(monkeypatch):
     proc = RademacherProcess(fano_system())
-    none = lipschitz_check(proc, pairs=10, seed=2, mc_pairs=0)
-    assert none.psi2_l2_ratios == () and none.psi2_unstable == 0
     assert lipschitz_check(proc, pairs=10, seed=2, mc_draws=2000).psi2_unstable == 0
     psi2 = rademacher.psi2_norm_mc
     monkeypatch.setattr(
         rademacher, "psi2_norm_mc", lambda *args: replace(psi2(*args), unstable=True)
     )
-    rep = lipschitz_check(proc, pairs=10, seed=2, mc_pairs=4, mc_draws=2000)
-    assert len(rep.psi2_l2_ratios) == rep.psi2_unstable == 4
+    # the first PSI2_PAIRS pairs estimate the psi2 / L2 ratio
+    rep = lipschitz_check(proc, pairs=10, seed=2, mc_draws=2000)
+    assert len(rep.psi2_l2_ratios) == rep.psi2_unstable == rademacher.PSI2_PAIRS == 3

@@ -229,7 +229,7 @@ def test_cli_rademacher_check_csv(tmp_path, capsys):
     run_cli("steiner", "gen", "--n", "7", "--k", "3", "--t", "2", "--out", str(sys_path))
     rc = run_cli(
         "rademacher", "check", "--system", str(sys_path),
-        "--pairs", "50", "--mc-pairs", "2", "--mc-draws", "4000",
+        "--pairs", "50", "--mc-draws", "4000",
         "--format", "csv",
     )
     assert rc == EXIT_OK
@@ -245,7 +245,7 @@ def test_cli_rademacher_check_mc_check_flags(tmp_path, capsys):
     capsys.readouterr()
     rc = run_cli(
         "rademacher", "check", "--system", str(sys_path),
-        "--pairs", "5", "--mc-pairs", "1", "--mc-draws", "500",
+        "--pairs", "5", "--mc-draws", "500",
         "--mc-checks", "2", "--mc-check-draws", "700",
     )
     assert rc == EXIT_OK
@@ -267,12 +267,12 @@ def test_cli_rademacher_check_counts_unstable_psi2_estimates(tmp_path, capsys, m
     capsys.readouterr()
     rc = run_cli(
         "rademacher", "check", "--system", str(sys_path),
-        "--pairs", "5", "--mc-pairs", "2", "--mc-checks", "0",
+        "--pairs", "5", "--mc-checks", "0",
     )
     body = json.loads(capsys.readouterr().out)
-    assert body["summary"]["psi2_unstable"] == 2
+    assert body["summary"]["psi2_unstable"] == 3
     assert all("psi2_unstable" not in r for r in body["records"])
-    assert sum(r["kind"] == "psi2_l2_ratio" for r in body["records"]) == 2
+    assert sum(r["kind"] == "psi2_l2_ratio" for r in body["records"]) == 3
     assert not any(r["kind"] == "l2_mc" for r in body["records"])
     assert rc == EXIT_OK
 
@@ -366,7 +366,7 @@ def test_input_hash_covers_file_content_not_path(tmp_path):
         (
             "rademacher.check",
             "system",
-            {"pairs": 5, "mc_pairs": 1, "mc_draws": 200, "mc_checks": 1, "mc_check_draws": 200},
+            {"pairs": 5, "mc_draws": 200, "mc_checks": 1, "mc_check_draws": 200},
         ),
     ]
     for command, key, options in commands:
@@ -422,9 +422,10 @@ def test_cli_exit_codes(tmp_path, capsys):
 SWEEP_ARGS = ("bounds", "sweep", "--kind", "C", "--q", "inf", "--k", "3", "--seeds", "1")
 
 
-# counts that leave nothing to run, a negative Monte Carlo count, a Monte
-# Carlo check without a standard error, or a finite exponent that overflows
-# a float, exit 1 with an error that names the count or the exponent
+# counts that leave nothing to run, a grid that repeats an n, a negative
+# Monte Carlo count, a Monte Carlo check without a standard error, or a
+# finite exponent that overflows a float, exit 1 with an error that names
+# the count, the grid or the exponent
 @pytest.mark.parametrize("argv,name", [
     pytest.param(("norm", "--poly", "{poly}", "--restarts", "0"), "restarts", id="restarts-0"),
     pytest.param(("norm", "--poly", "{poly}", "--max-iter", "0"), "max_iter", id="max-iter-0"),
@@ -437,10 +438,7 @@ SWEEP_ARGS = ("bounds", "sweep", "--kind", "C", "--q", "inf", "--k", "3", "--see
         id="norm-restarts-0",
     ),
     pytest.param((*SWEEP_ARGS, "--n-min", "9", "--n-max", "7"), "n_values", id="n-min-above-n-max"),
-    pytest.param(
-        (*SWEEP_ARGS, "--n-min", "7", "--n-max", "9", "--n-step", "-1"), "n_step",
-        id="n-step-negative",
-    ),
+    pytest.param((*SWEEP_ARGS, "--n-list", "7,7,9"), "n_values", id="n-list-repeats-n"),
     pytest.param(
         ("rademacher", "check", "--system", "{system}", "--pairs", "5", "--mc-draws", "500",
          "--mc-check-draws", "1"),
@@ -459,11 +457,6 @@ SWEEP_ARGS = ("bounds", "sweep", "--kind", "C", "--q", "inf", "--k", "3", "--see
         ("rademacher", "check", "--system", "{system}", "--pairs", "5", "--mc-checks", "-2"),
         "mc_checks",
         id="mc-checks-negative",
-    ),
-    pytest.param(
-        ("rademacher", "check", "--system", "{system}", "--pairs", "5", "--mc-pairs", "-1"),
-        "mc_pairs",
-        id="mc-pairs-negative",
     ),
     pytest.param(("norm", "--poly", "{poly}", "--q", "1e400"), "exponent", id="q-1e400"),
 ])
@@ -539,6 +532,18 @@ def test_cli_rejects_mistyped_integers_in_a_config_file(command, cfg, key, tmp_p
     assert out == ""
 
 
+def test_cli_rejects_a_config_file_n_list_that_is_not_a_string(tmp_path, capsys):
+    cfg = {"kind": "C", "q": "inf", "k": 3, "n_list": [7, 9], "seeds": 1}
+    with pytest.raises(ConfigError, match="n_list"):
+        execute({"command": "bounds.sweep", **cfg})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"version": 1, **cfg}))
+    assert run_cli("bounds", "sweep", "--config", str(path)) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert "option n_list must be a string" in err
+    assert out == ""
+
+
 # the keys of deleted options are unknown keys like any other
 @pytest.mark.parametrize("command,key", [
     pytest.param("bounds.sweep", "row_trials", id="row_trials"),
@@ -547,6 +552,9 @@ def test_cli_rejects_mistyped_integers_in_a_config_file(command, cfg, key, tmp_p
     pytest.param("dixon.verify", "scale", id="dixon.verify-scale"),
     pytest.param("norm", "flattening", id="norm-flattening"),
     pytest.param("norm", "tol", id="norm-tol"),
+    pytest.param("bounds.sweep", "fit_column", id="fit_column"),
+    pytest.param("bounds.sweep", "n_step", id="n_step"),
+    pytest.param("rademacher.check", "mc_pairs", id="rademacher.check-mc_pairs"),
 ])
 def test_execute_rejects_deleted_keys(command, key, tmp_path, capsys):
     with pytest.raises(ConfigError, match=key):
@@ -555,6 +563,17 @@ def test_execute_rejects_deleted_keys(command, key, tmp_path, capsys):
     path.write_text(json.dumps({"version": 1, key: 2}))
     assert run_cli(*command.split("."), "--config", str(path)) == EXIT_CONFIG
     assert key in capsys.readouterr().err
+
+
+# the flags of deleted options are unknown arguments
+@pytest.mark.parametrize("argv", [
+    pytest.param((*SWEEP_ARGS, "--n-list", "7", "--fit-column", "bound"), id="fit-column"),
+    pytest.param((*SWEEP_ARGS, "--n-min", "7", "--n-max", "9", "--n-step", "2"), id="n-step"),
+    pytest.param(("rademacher", "check", "--system", "d.txt", "--mc-pairs", "2"), id="mc-pairs"),
+])
+def test_cli_rejects_deleted_flags(argv, capsys):
+    assert run_cli(*argv) == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_execute_rejects_deleted_bench_command():
@@ -602,7 +621,7 @@ def test_cli_defaults_come_from_callee_signatures(tmp_path, capsys):
     )
     assert rc == EXIT_OK
     config = json.loads(capsys.readouterr().out)["config"]
-    for name in ("norm_restarts", "norm_max_iter", "fit_column"):
+    for name in ("norm_restarts", "norm_max_iter"):
         assert config[name] == signature_default(scaling_sweep, name), name
 
 
